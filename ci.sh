@@ -11,6 +11,12 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo build --release
 fi
 
+# The benchmark (perfbench/, see BENCHMARK.json) is a workspace of its own,
+# so `--workspace` never compiles it; build it here so a public-API change
+# that breaks the benchmark fails CI.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Tier-1 (root package) includes the chaos smoke (tests/chaos_smoke.rs:
 # one injected worker death plus a kill-and-resume cycle); --workspace
 # adds every crate's suite, including the full supervision matrix in

@@ -332,9 +332,11 @@ fn faults_snapshot() {
 }
 
 fn resilience_snapshot() {
-    eprintln!("resilience: clean vs journaled runs, chaos worker deaths, crash-resume...");
+    // One worker per core: the snapshot describes the host it ran on.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("resilience: clean vs journaled streamed runs, chaos worker deaths, crash-resume...");
     let snapshot =
-        webdep_bench::resilience::resilience_snapshot(WORKERS, |line| eprintln!("  {line}"));
+        webdep_bench::resilience::resilience_snapshot(workers, |line| eprintln!("  {line}"));
     for run in &snapshot.deaths {
         assert!(
             run.byte_identical && run.observations_lost == 0,

@@ -38,6 +38,42 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
+/// The machine a BENCH file was recorded on. Timings from different
+/// hosts are not comparable, so every snapshot that records a wall time
+/// carries one.
+#[derive(serde::Serialize)]
+pub struct Host {
+    /// Cores available to this process.
+    pub nproc: usize,
+    /// `rustc --version` of the compiler on `PATH` when the snapshot ran
+    /// (not necessarily the one that built it), or `unknown`.
+    pub rustc: String,
+    /// The checkout's `git describe --always --dirty`: the `HEAD` commit,
+    /// suffixed `-dirty` when the working tree has uncommitted changes,
+    /// or `unknown`.
+    pub git_sha: String,
+}
+
+/// Fingerprints this host (see [`Host`]).
+pub fn host() -> Host {
+    let output = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    Host {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rustc: output("rustc", &["--version"]),
+        git_sha: output("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
+    }
+}
+
 /// Appends one `unix_ts,bench,summary` line to the history CSV at
 /// `path`, writing the header first if the file does not exist yet.
 ///

@@ -1,30 +1,43 @@
 //! The supervision/resilience bench behind `BENCH_resilience.json`.
 //!
-//! Three questions, answered on one reduced world:
+//! Three questions, answered on one reduced world. Every run streams into
+//! a chunk store and is reloaded for comparison:
 //!
-//! 1. What does journaling cost? A clean run vs the same run with the
-//!    append-only JSONL journal enabled (wall overhead + journal size).
+//! 1. What does journaling cost? The same streamed run without and with
+//!    the crash journal (one-row chunk frames), best of `REPS` each:
+//!    wall overhead and journal size. The overhead is reported against
+//!    the +20% target as information, not gated.
 //! 2. What does a worker death cost? Seeded [`ChaosPlan`] kills at N
 //!    evenly spaced sites; the snapshot records time-to-complete, the
 //!    supervision counters, and — the headline — how many observations
 //!    were lost or changed versus the undisturbed baseline (must be 0:
 //!    requeued batches re-measure to identical bytes).
-//! 3. What does crash-resume cost? The full journal is truncated at 50%
-//!    of its records and the run resumed; the snapshot records the resume
-//!    wall against the clean wall and certifies byte-identity.
+//! 3. What does crash-resume cost? The journal's first half of records is
+//!    kept and the run resumed into a fresh store directory; the snapshot
+//!    records the resume wall against the clean wall and certifies
+//!    byte-identity.
 
 use serde::Serialize;
-use std::time::Instant;
+use std::path::Path;
+use std::time::{Duration, Instant};
+use webdep_pipeline::journal::{self, JournalWriter};
 use webdep_pipeline::{
-    measure_journaled, measure_with_stats, resume_from_journal, ChaosPlan, MeasuredDataset,
+    measure_streamed, resume_streamed, ChaosPlan, ChunkStore, MeasureStats, MeasuredDataset,
     PipelineConfig, SupervisorConfig,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
+/// Clean and journaled runs each; the snapshot keeps the fastest, which
+/// is the least disturbed by other load on the host.
+const REPS: usize = 3;
+/// The journal overhead the design aims to stay under (+20%).
+const JOURNAL_OVERHEAD_TARGET: f64 = 0.2;
+
 /// Worker deaths injected per degraded run.
 const DEATH_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// The clean reference pair: the same run without and with journaling.
+/// The clean reference pair: the same streamed run without and with
+/// journaling, fastest of `REPS` each.
 #[derive(Serialize)]
 pub struct CleanRuns {
     /// Wall-clock of the plain run (ms).
@@ -57,7 +70,8 @@ pub struct DeathRun {
     pub wall_ms: u64,
     /// `wall_ms` relative to the clean run.
     pub slowdown: f64,
-    /// Whether the dataset serialized byte-identical to the baseline.
+    /// Whether the reloaded store serialized byte-identical to the
+    /// baseline.
     pub byte_identical: bool,
 }
 
@@ -73,7 +87,7 @@ pub struct ResumeRun {
     /// Resume wall over the clean full-run wall — roughly the fraction of
     /// work the crash did *not* save, plus journal-replay overhead.
     pub overhead_vs_clean: f64,
-    /// Whether the reassembled dataset serialized byte-identical to the
+    /// Whether the resumed store serialized byte-identical to the
     /// uninterrupted baseline.
     pub byte_identical: bool,
 }
@@ -81,6 +95,8 @@ pub struct ResumeRun {
 /// The whole `BENCH_resilience.json` payload.
 #[derive(Serialize)]
 pub struct ResilienceSnapshot {
+    /// The machine the snapshot was recorded on.
+    pub host: crate::Host,
     /// Sites in the bench world.
     pub sites: u64,
     /// Pipeline workers.
@@ -141,6 +157,27 @@ fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("webdep-resilience-{name}-{}", std::process::id()))
 }
 
+/// Reloads the finished store at `dir` as a dataset.
+fn reload(world: &World, dir: &Path) -> MeasuredDataset {
+    ChunkStore::open(dir)
+        .and_then(|store| store.load_dataset(world))
+        .expect("reload store")
+}
+
+/// One streamed run into the store at `dir`: its wall clock (store finish
+/// and final journal sync included), its stats and the reloaded dataset.
+fn streamed(
+    world: &World,
+    dep: &DeployedWorld,
+    config: &PipelineConfig,
+    dir: &Path,
+    journal: Option<&Path>,
+) -> (Duration, MeasureStats, MeasuredDataset) {
+    let t0 = Instant::now();
+    let stats = measure_streamed(world, dep, config, dir, journal).expect("streamed run");
+    (t0.elapsed(), stats, reload(world, dir))
+}
+
 /// Runs the resilience bench and assembles the snapshot.
 ///
 /// `progress` receives one line per completed stage (the bench binary
@@ -158,38 +195,45 @@ pub fn resilience_snapshot_with(
     let world = World::generate(world_cfg);
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
+    let (store, journal_file) = (scratch("store"), scratch("journal"));
+    let cfg = pipeline_config(workers, None);
 
-    let (baseline_ds, clean_stats) =
-        measure_with_stats(&world, &dep, &pipeline_config(workers, None));
-    let clean_wall = clean_stats.wall;
+    // Clean and journaled runs alternate, so both see the same host.
+    let (mut clean_wall, mut journaled_wall) = (Duration::MAX, Duration::MAX);
+    let mut baseline_ds = None;
+    for _ in 0..REPS {
+        let (wall, _, ds) = streamed(&world, &dep, &cfg, &store, None);
+        clean_wall = clean_wall.min(wall);
+        let (wall, _, journaled) = streamed(&world, &dep, &cfg, &store, Some(&journal_file));
+        journaled_wall = journaled_wall.min(wall);
+        assert_eq!(journaled, ds, "journaling changed the dataset");
+        baseline_ds.get_or_insert(ds);
+    }
+    let baseline_ds = baseline_ds.expect("REPS > 0");
     let baseline_bytes = dataset_bytes(&baseline_ds);
-    progress(&format!(
-        "clean: {n} sites in {} ms",
-        clean_wall.as_millis()
-    ));
-
-    let journal_path = scratch("journal");
-    let (journaled_ds, journaled_stats) =
-        measure_journaled(&world, &dep, &pipeline_config(workers, None), &journal_path)
-            .expect("journaled run");
-    assert_eq!(journaled_ds, baseline_ds, "journaling changed the dataset");
-    let journal_bytes = std::fs::metadata(&journal_path)
+    let journal_bytes = std::fs::metadata(&journal_file)
         .map(|m| m.len())
         .unwrap_or(0);
-    let journaled_wall = journaled_stats.wall;
+    let journal_overhead = journaled_wall.as_secs_f64() / clean_wall.as_secs_f64() - 1.0;
     progress(&format!(
-        "journaled: {} ms (+{:.1}%), journal {} KiB",
+        "clean: {n} sites in {} ms; journaled: {} ms, journal {} KiB ({:.0} B/site)",
+        clean_wall.as_millis(),
         journaled_wall.as_millis(),
-        100.0 * (journaled_wall.as_secs_f64() / clean_wall.as_secs_f64() - 1.0),
-        journal_bytes / 1024
+        journal_bytes / 1024,
+        journal_bytes as f64 / n as f64
+    ));
+    progress(&format!(
+        "info: journal overhead {:+.1}% (target <= {:+.0}%, not gated)",
+        100.0 * journal_overhead,
+        100.0 * JOURNAL_OVERHEAD_TARGET
     ));
 
     let deaths = DEATH_COUNTS
         .iter()
         .map(|&d| {
             let plan = ChaosPlan::kill_at(&kill_sites(n, d));
-            let (ds, stats) =
-                measure_with_stats(&world, &dep, &pipeline_config(workers, Some(plan)));
+            let config = pipeline_config(workers, Some(plan));
+            let (wall, stats, ds) = streamed(&world, &dep, &config, &store, None);
             let observations_lost = baseline_ds
                 .observations
                 .iter()
@@ -203,8 +247,8 @@ pub fn resilience_snapshot_with(
                 batches_requeued: stats.supervision.batches_requeued,
                 sites_poisoned: stats.supervision.sites_poisoned,
                 observations_lost,
-                wall_ms: stats.wall.as_millis() as u64,
-                slowdown: round3(stats.wall.as_secs_f64() / clean_wall.as_secs_f64()),
+                wall_ms: wall.as_millis() as u64,
+                slowdown: round3(wall.as_secs_f64() / clean_wall.as_secs_f64()),
                 byte_identical: dataset_bytes(&ds) == baseline_bytes,
             };
             progress(&format!(
@@ -220,26 +264,27 @@ pub fn resilience_snapshot_with(
         })
         .collect();
 
-    // Crash-resume: keep the header and the first half of the records,
-    // exactly what a process killed mid-run leaves behind.
-    let text = std::fs::read_to_string(&journal_path).expect("read journal");
-    let lines: Vec<&str> = text.lines().collect();
+    // Crash-resume: keep the first half of the journal's records, exactly
+    // what a process killed mid-run leaves behind, and lose the store.
     let keep = n / 2;
     let cut_path = scratch("resume");
-    std::fs::write(&cut_path, format!("{}\n", lines[..=keep].join("\n")))
-        .expect("write truncated journal");
+    let loaded = journal::open(&journal_file, &world.label, n).expect("load journal");
+    let mut cut = JournalWriter::create(&cut_path, &world.label, n).expect("create cut journal");
+    for (i, obs) in &loaded.records[..keep] {
+        cut.append(*i, obs).expect("write cut journal");
+    }
+    drop(cut);
+    let _ = std::fs::remove_dir_all(&store);
 
     let t0 = Instant::now();
-    let (resumed_ds, resumed_stats) =
-        resume_from_journal(&world, &dep, &pipeline_config(workers, None), &cut_path)
-            .expect("resume");
+    let resumed_stats = resume_streamed(&world, &dep, &cfg, &store, &cut_path).expect("resume");
     let resume_wall = t0.elapsed();
     let resume = ResumeRun {
         resumed_records: resumed_stats.supervision.sites_resumed,
         resumed_fraction: round3(keep as f64 / n as f64),
         wall_ms: resume_wall.as_millis() as u64,
         overhead_vs_clean: round3(resume_wall.as_secs_f64() / clean_wall.as_secs_f64()),
-        byte_identical: dataset_bytes(&resumed_ds) == baseline_bytes,
+        byte_identical: dataset_bytes(&reload(&world, &store)) == baseline_bytes,
     };
     progress(&format!(
         "resume from {}/{}: {} ms ({:.0}% of clean), identical {}",
@@ -249,16 +294,18 @@ pub fn resilience_snapshot_with(
         100.0 * resume.overhead_vs_clean,
         resume.byte_identical
     ));
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&cut_path);
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_file(&journal_file);
 
     ResilienceSnapshot {
+        host: crate::host(),
         sites: n as u64,
         workers: workers as u64,
         baseline: CleanRuns {
             wall_ms: clean_wall.as_millis() as u64,
             journaled_wall_ms: journaled_wall.as_millis() as u64,
-            journal_overhead: round3(journaled_wall.as_secs_f64() / clean_wall.as_secs_f64() - 1.0),
+            journal_overhead: round3(journal_overhead),
             journal_bytes,
         },
         deaths,

@@ -62,38 +62,6 @@ impl FailureCause {
             FailureCause::Internal => "internal",
         }
     }
-
-    /// Inverse of the derived serialization (unit variants serialize as
-    /// their variant name); used by the run-journal reader.
-    pub fn from_variant(s: &str) -> Option<Self> {
-        Some(match s {
-            "Timeout" => FailureCause::Timeout,
-            "Unreachable" => FailureCause::Unreachable,
-            "Refused" => FailureCause::Refused,
-            "NxDomain" => FailureCause::NxDomain,
-            "NoRecords" => FailureCause::NoRecords,
-            "Malformed" => FailureCause::Malformed,
-            "UnknownIssuer" => FailureCause::UnknownIssuer,
-            "Skipped" => FailureCause::Skipped,
-            "Internal" => FailureCause::Internal,
-            _ => return None,
-        })
-    }
-
-    /// The variant name the derived serializer emits for this cause.
-    pub fn variant_name(self) -> &'static str {
-        match self {
-            FailureCause::Timeout => "Timeout",
-            FailureCause::Unreachable => "Unreachable",
-            FailureCause::Refused => "Refused",
-            FailureCause::NxDomain => "NxDomain",
-            FailureCause::NoRecords => "NoRecords",
-            FailureCause::Malformed => "Malformed",
-            FailureCause::UnknownIssuer => "UnknownIssuer",
-            FailureCause::Skipped => "Skipped",
-            FailureCause::Internal => "Internal",
-        }
-    }
 }
 
 /// One layer's failure: a normalized cause plus the human-readable detail.

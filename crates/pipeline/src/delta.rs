@@ -123,13 +123,9 @@ pub fn measure_delta(
     let journal = journal_path
         .map(|p| JournalWriter::create(p, &world.label, n))
         .transpose()?;
-    let sink = Sink::Streaming {
-        done,
-        store,
-        store_error: None,
-    };
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, resumed);
-    let measure = finish_streaming(world, sink, journal_err, stats)?;
+    let sink = Sink::streaming(done, store, journal);
+    let (sink, stats) = run_supervised(world, dep, config, sink, resumed);
+    let measure = finish_streaming(world, sink, stats)?;
     Ok(DeltaStats {
         sites_total: n,
         sites_remeasured: n - resumed,

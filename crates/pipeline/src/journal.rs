@@ -1,119 +1,112 @@
-//! The run journal: an append-only JSONL checkpoint of completed site
-//! observations, and the loader that makes crash-resume possible.
+//! The run journal: an append-only log of completed site observations,
+//! and the loader that makes crash-resume possible.
 //!
-//! Format: line 1 is a header object
-//! `{"magic":"webdep-run-journal","version":1,"label":…,"sites":N}`;
-//! every following line is one completed record
-//! `{"site":<index>,"obs":<SiteObservation>}`. Records are appended in
-//! completion order (worker-interleaved, *not* site order) — the loader
-//! scatters them back by index. The writer buffers and fsyncs every
-//! [`FSYNC_BATCH`] records, so a crash loses at most one batch of
-//! durability plus possibly a torn final line; the loader tolerates
-//! exactly that (an unparseable *last* line is dropped, an unparseable
-//! middle line is corruption and an error).
+//! Format (little-endian):
+//!
+//! ```text
+//! header  magic "WDJOURNL" · version u32 · sites u64 · label_len u32 · label (UTF-8)
+//! frame*  len u32 · !len u32 · payload (len bytes)
+//! ```
+//!
+//! Every payload is a **one-row chunk** in the store's own encoding
+//! ([`crate::store`]): the bytes a one-site-per-chunk store would hold for
+//! that site, FNV-1a checksum included. The store, resume, fsck and heal
+//! therefore share one encoder and one decoder. Frames are appended in
+//! completion order (worker-interleaved, *not* site order); the loader
+//! scatters them back by the site index each chunk header carries.
+//!
+//! The writer buffers and fsyncs every [`FSYNC_BATCH`] records, so a crash
+//! loses at most one batch of durability plus possibly a torn final frame.
+//! The loader tolerates exactly that:
+//!
+//! * a partial frame header, or a declared length that runs past the end
+//!   of the file, is a **torn tail**, and so is a last frame whose payload
+//!   fails to decode: the frame is dropped;
+//! * so is a frame that fails its length check or does not decode where
+//!   the file's trailing run of zero bytes has already begun: a power
+//!   loss can leave the blocks written after the last fsync zero-filled,
+//!   and those bytes were never promised to be durable;
+//! * any other length whose check (`!len`) does not match, or any other
+//!   undecodable payload, is **corruption** and fails the load — a crash
+//!   truncates or zero-fills the tail, it never rewrites a frame in the
+//!   middle — as does a record naming a site outside the run.
+//!
+//! Resuming over a torn tail truncates the file back to the end of its
+//! last whole frame before appending. Duplicate records of one site keep
+//! the first.
 //!
 //! Because per-site measurement is deterministic (see the determinism
 //! contract in [`crate::run`]), a resumed run re-measures only the
-//! missing sites and provably reassembles a byte-identical
-//! [`MeasuredDataset`](crate::dataset::MeasuredDataset).
+//! missing sites and provably reassembles a byte-identical store.
 
-use crate::dataset::{FailureCause, LayerError, SiteObservation};
-use serde_json::Value;
+use crate::dataset::SiteObservation;
+use crate::store::{decode_chunk, encode_chunk};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
-use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
-/// Journal magic string (header `magic` field).
-pub const MAGIC: &str = "webdep-run-journal";
-/// Journal format version (header `version` field).
-pub const VERSION: u64 = 1;
+/// Journal file magic.
+pub const MAGIC: [u8; 8] = *b"WDJOURNL";
+/// Journal format version (version 1 was line-delimited JSON).
+pub const VERSION: u32 = 2;
 /// Records between explicit flush+fsync batches.
 pub const FSYNC_BATCH: usize = 64;
+/// Bytes before each frame's payload: the length and its check.
+const FRAME_HEAD: usize = 8;
 
 /// Buffered, fsync-batched appender for the run journal.
 ///
-/// Writes are line-buffered in userspace and pushed to stable storage
-/// every [`FSYNC_BATCH`] records (and on [`JournalWriter::sync`] / drop),
+/// Writes are buffered in userspace and pushed to stable storage every
+/// [`FSYNC_BATCH`] records (and on [`JournalWriter::sync`] / drop),
 /// trading at most one batch of durability for not paying an fsync per
 /// site.
 pub struct JournalWriter {
-    path: PathBuf,
     out: BufWriter<File>,
     pending: usize,
-    written: u64,
 }
 
 impl JournalWriter {
     /// Creates (truncating) a journal for a run over `sites` sites of the
     /// world labeled `label`, writing and syncing the header immediately.
     pub fn create(path: &Path, label: &str, sites: usize) -> io::Result<Self> {
-        let file = File::create(path)?;
         let mut w = JournalWriter {
-            path: path.to_path_buf(),
-            out: BufWriter::new(file),
+            out: BufWriter::new(File::create(path)?),
             pending: 0,
-            written: 0,
         };
-        let header = Value::Object(vec![
-            ("magic".into(), Value::String(MAGIC.into())),
-            ("version".into(), Value::U64(VERSION)),
-            ("label".into(), Value::String(label.into())),
-            ("sites".into(), Value::U64(sites as u64)),
-        ]);
-        writeln!(w.out, "{header}")?;
+        w.out.write_all(&MAGIC)?;
+        w.out.write_all(&VERSION.to_le_bytes())?;
+        w.out.write_all(&(sites as u64).to_le_bytes())?;
+        w.out.write_all(&(label.len() as u32).to_le_bytes())?;
+        w.out.write_all(label.as_bytes())?;
         w.out.flush()?;
         w.out.get_ref().sync_data()?;
         Ok(w)
     }
 
-    /// Opens an existing journal for appending (resume). The header must
-    /// match `label`/`sites`. A torn final line (crash artifact) is healed
-    /// first by rewriting the recovered records — appending directly after
-    /// a torn line would concatenate onto it and corrupt the journal.
-    pub fn append_existing(path: &Path, label: &str, sites: usize) -> io::Result<Self> {
-        let loaded = load(path)?;
-        if loaded.label != label || loaded.sites != sites {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                    loaded.label, loaded.sites, label, sites
-                ),
-            ));
-        }
-        Self::append_loaded(path, &loaded)
-    }
-
-    /// Like [`JournalWriter::append_existing`], but takes the journal's
-    /// already-loaded contents instead of re-parsing the file — the
-    /// resume path loads once for the prefill and hands the same
-    /// [`Journal`] here.
+    /// Reopens the journal [`open`] loaded from `path` for appending. A
+    /// torn tail is cut back to the last whole frame first: appending
+    /// after it would bury the torn bytes mid-file, where they read as
+    /// corruption.
     pub fn append_loaded(path: &Path, loaded: &Journal) -> io::Result<Self> {
-        if loaded.torn_tail {
-            let mut w = Self::create(path, &loaded.label, loaded.sites)?;
-            for (i, obs) in &loaded.records {
-                w.append(*i, obs)?;
-            }
-            w.sync()?;
-            return Ok(w);
-        }
         let file = OpenOptions::new().append(true).open(path)?;
+        if loaded.torn_tail {
+            file.set_len(loaded.valid_len)?;
+            file.sync_data()?;
+        }
         Ok(JournalWriter {
-            path: path.to_path_buf(),
             out: BufWriter::new(file),
             pending: 0,
-            written: loaded.records.len() as u64,
         })
     }
 
     /// Appends one completed record; flushes and fsyncs every
     /// [`FSYNC_BATCH`] records.
     pub fn append(&mut self, site: usize, obs: &SiteObservation) -> io::Result<()> {
-        let obs_json = serde_json::to_string(obs)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(self.out, "{{\"site\":{site},\"obs\":{obs_json}}}")?;
-        self.written += 1;
+        let payload = encode_chunk(site, site, std::slice::from_ref(obs));
+        let len = u32::try_from(payload.len()).map_err(|_| bad("record exceeds 4 GiB"))?;
+        self.out.write_all(&len.to_le_bytes())?;
+        self.out.write_all(&(!len).to_le_bytes())?;
+        self.out.write_all(&payload)?;
         self.pending += 1;
         if self.pending >= FSYNC_BATCH {
             self.sync()?;
@@ -133,17 +126,6 @@ impl JournalWriter {
         self.pending = 0;
         Ok(())
     }
-
-    /// Records appended through this writer (including any pre-existing
-    /// count passed to [`JournalWriter::append_existing`]).
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl Drop for JournalWriter {
@@ -153,216 +135,136 @@ impl Drop for JournalWriter {
     }
 }
 
-/// A loaded journal: header metadata plus the recovered records.
-#[derive(Debug, Clone, PartialEq)]
+/// A loaded journal's recovered records.
+#[derive(Debug)]
 pub struct Journal {
-    /// World snapshot label from the header.
-    pub label: String,
-    /// Site count from the header.
-    pub sites: usize,
     /// Recovered `(site_index, observation)` records, deduplicated
     /// keep-first, in file order.
     pub records: Vec<(usize, SiteObservation)>,
-    /// Whether the final line was torn (unparseable) and dropped.
+    /// Whole frames read, duplicates included.
+    pub frames: usize,
+    /// Whether a torn final frame was dropped.
     pub torn_tail: bool,
-}
-
-impl Journal {
-    /// Scatters the records into a `slots` vector (one `Option` per
-    /// site), returning how many sites were restored.
-    pub fn fill_slots(&self, slots: &mut [Option<SiteObservation>]) -> usize {
-        let mut restored = 0;
-        for (i, obs) in &self.records {
-            if slots[*i].is_none() {
-                slots[*i] = Some(obs.clone());
-                restored += 1;
-            }
-        }
-        restored
-    }
+    /// Byte length of the file up to the end of its last whole frame.
+    pub valid_len: u64,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Loads and validates a journal.
-///
-/// Tolerates exactly the crash artifact the writer can produce: a torn
-/// (unparseable or structurally incomplete) *final* line, which is
-/// dropped. Any earlier malformed line, a bad header, or an
-/// out-of-bounds site index is corruption and fails the load. Duplicate
-/// site records (possible when a requeued batch re-measures a site a
-/// dead worker had already journaled) keep the first occurrence.
-pub fn load(path: &Path) -> io::Result<Journal> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    let mut lines = text.lines();
-
-    let header_line = lines.next().ok_or_else(|| bad("empty journal"))?;
-    let header: Value =
-        serde_json::from_str(header_line).map_err(|e| bad(format!("bad journal header: {e}")))?;
-    if header["magic"] != MAGIC {
-        return Err(bad("not a run journal (bad magic)"));
+/// Parses the header, returning its label, site count and length.
+fn parse_header(bytes: &[u8]) -> Result<(&str, u64, usize), String> {
+    let field = |at: usize, n: usize| bytes.get(at..at + n).ok_or("header truncated");
+    if field(0, 8)? != MAGIC {
+        return Err("not a run journal (bad magic)".into());
     }
-    if header["version"].as_u64() != Some(VERSION) {
+    let version = u32::from_le_bytes(field(8, 4)?.try_into().unwrap());
+    if version != VERSION {
+        return Err(format!("unsupported journal version {version}"));
+    }
+    let sites = u64::from_le_bytes(field(12, 8)?.try_into().unwrap());
+    let label_len = u32::from_le_bytes(field(20, 4)?.try_into().unwrap()) as usize;
+    let label = std::str::from_utf8(field(24, label_len)?).map_err(|e| e.to_string())?;
+    Ok((label, sites, 24 + label_len))
+}
+
+/// Decodes one frame payload: a one-row chunk whose index is its site.
+fn decode_record(payload: &[u8]) -> Result<(usize, SiteObservation), String> {
+    let chunk = decode_chunk(payload, None)?;
+    if chunk.rows != 1 || chunk.index != chunk.lo {
+        return Err(format!(
+            "not a one-row record (index {}, lo {}, rows {})",
+            chunk.index, chunk.lo, chunk.rows
+        ));
+    }
+    Ok((chunk.lo, chunk.observation(0)))
+}
+
+/// Loads the journal at `path` for a run over `sites` sites of the world
+/// labeled `label` — the one place a journal is checked against its run.
+///
+/// Tolerates exactly the crash artifact the writer can produce, a torn
+/// final frame, which is dropped (see the module docs for what counts as
+/// torn and what as corruption).
+pub fn open(path: &Path, label: &str, sites: usize) -> io::Result<Journal> {
+    let bytes = std::fs::read(path)?;
+    let (head_label, head_sites, mut pos) =
+        parse_header(&bytes).map_err(|e| bad(format!("bad journal header: {e}")))?;
+    if head_label != label || head_sites != sites as u64 {
         return Err(bad(format!(
-            "unsupported journal version {}",
-            header["version"]
+            "journal is for '{head_label}' ({head_sites} sites), not '{label}' ({sites} sites)"
         )));
     }
-    let label = header["label"]
-        .as_str()
-        .ok_or_else(|| bad("journal header missing label"))?
-        .to_string();
-    let sites = header["sites"]
-        .as_u64()
-        .ok_or_else(|| bad("journal header missing sites"))? as usize;
-
-    let body: Vec<&str> = lines.collect();
+    // Where the trailing run of zero bytes begins (the file's length if
+    // it ends in a nonzero byte): a frame that fails from there on is a
+    // zero-filled tail, not corruption.
+    let zeros_from = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
     let mut records = Vec::new();
     let mut seen = vec![false; sites];
     let mut torn_tail = false;
-    for (lineno, line) in body.iter().enumerate() {
-        let last = lineno + 1 == body.len();
-        match parse_record(line, sites) {
+    let mut frame = 0usize;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        let corrupt = |why: String| {
+            bad(format!(
+                "corrupt journal frame {frame} at byte {pos}: {why}"
+            ))
+        };
+        if rest.len() < FRAME_HEAD {
+            torn_tail = true;
+            break;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        let check = u32::from_le_bytes(rest[4..FRAME_HEAD].try_into().unwrap());
+        if check != !len {
+            if pos + FRAME_HEAD > zeros_from {
+                torn_tail = true;
+                break;
+            }
+            return Err(corrupt(format!("length {len} fails its check")));
+        }
+        let end = FRAME_HEAD + len as usize;
+        let Some(payload) = rest.get(FRAME_HEAD..end) else {
+            torn_tail = true;
+            break;
+        };
+        match decode_record(payload) {
+            Ok((site, _)) if site >= sites => {
+                return Err(corrupt(format!(
+                    "site index {site} out of bounds (< {sites})"
+                )));
+            }
             Ok((site, obs)) => {
                 if !seen[site] {
                     seen[site] = true;
                     records.push((site, obs));
                 }
             }
-            Err(e) if last => {
-                // The one artifact a crash mid-append can leave behind.
+            Err(_) if end == rest.len() || pos + end > zeros_from => {
                 torn_tail = true;
-                let _ = e;
+                break;
             }
-            Err(e) => {
-                return Err(bad(format!("corrupt journal line {}: {e}", lineno + 2)));
-            }
+            Err(e) => return Err(corrupt(e)),
         }
+        pos += end;
+        frame += 1;
     }
     Ok(Journal {
-        label,
-        sites,
         records,
+        frames: frame,
         torn_tail,
-    })
-}
-
-fn parse_record(line: &str, sites: usize) -> Result<(usize, SiteObservation), String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let site = v["site"].as_u64().ok_or("missing site index")? as usize;
-    if site >= sites {
-        return Err(format!("site index {site} out of bounds (< {sites})"));
-    }
-    let obs = observation_from_value(&v["obs"])?;
-    Ok((site, obs))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    v[key]
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn opt_str(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match &v[key] {
-        Value::Null => Ok(None),
-        Value::String(s) => Ok(Some(s.clone())),
-        other => Err(format!("field '{key}' is not a string or null: {other}")),
-    }
-}
-
-fn opt_u32(v: &Value, key: &str) -> Result<Option<u32>, String> {
-    match &v[key] {
-        Value::Null => Ok(None),
-        other => other
-            .as_u64()
-            .and_then(|x| u32::try_from(x).ok())
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' is not a u32 or null: {other}")),
-    }
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    v[key]
-        .as_bool()
-        .ok_or_else(|| format!("missing bool field '{key}'"))
-}
-
-fn opt_ip(v: &Value, key: &str) -> Result<Option<Ipv4Addr>, String> {
-    match opt_str(v, key)? {
-        None => Ok(None),
-        Some(s) => s
-            .parse::<Ipv4Addr>()
-            .map(Some)
-            .map_err(|_| format!("field '{key}' is not an IPv4 address: {s}")),
-    }
-}
-
-fn opt_layer_error(v: &Value, key: &str) -> Result<Option<LayerError>, String> {
-    match &v[key] {
-        Value::Null => Ok(None),
-        obj @ Value::Object(_) => {
-            let cause_name = req_str(obj, "cause")?;
-            let cause = FailureCause::from_variant(&cause_name)
-                .ok_or_else(|| format!("unknown failure cause '{cause_name}'"))?;
-            Ok(Some(LayerError::new(cause, req_str(obj, "detail")?)))
-        }
-        other => Err(format!("field '{key}' is not a layer error: {other}")),
-    }
-}
-
-/// Reconstructs a [`SiteObservation`] from its serialized [`Value`] tree.
-///
-/// The vendored `serde_json` shim deserializes only into [`Value`], so
-/// the typed reconstruction lives here. This is the exact inverse of the
-/// derived serialization: unit enum variants are variant-name strings,
-/// `Ipv4Addr` is a dotted-quad string, `None` is `null`.
-pub fn observation_from_value(v: &Value) -> Result<SiteObservation, String> {
-    let ns_names = match &v["ns_names"] {
-        Value::Array(items) => items
-            .iter()
-            .map(|it| {
-                it.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("ns_names entry is not a string: {it}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        other => return Err(format!("ns_names is not an array: {other}")),
-    };
-    Ok(SiteObservation {
-        domain: req_str(v, "domain")?,
-        tld: req_str(v, "tld")?,
-        language: req_str(v, "language")?,
-        hosting_ip: opt_ip(v, "hosting_ip")?,
-        hosting_asn: opt_u32(v, "hosting_asn")?,
-        hosting_org: opt_u32(v, "hosting_org")?,
-        hosting_org_country: opt_str(v, "hosting_org_country")?,
-        hosting_ip_country: opt_str(v, "hosting_ip_country")?,
-        hosting_anycast: req_bool(v, "hosting_anycast")?,
-        ns_names,
-        dns_ip: opt_ip(v, "dns_ip")?,
-        dns_asn: opt_u32(v, "dns_asn")?,
-        dns_org: opt_u32(v, "dns_org")?,
-        dns_org_country: opt_str(v, "dns_org_country")?,
-        dns_ip_country: opt_str(v, "dns_ip_country")?,
-        dns_anycast: req_bool(v, "dns_anycast")?,
-        ca_owner: opt_u32(v, "ca_owner")?,
-        ca_owner_country: opt_str(v, "ca_owner_country")?,
-        hosting_error: opt_layer_error(v, "hosting_error")?,
-        dns_error: opt_layer_error(v, "dns_error")?,
-        ca_error: opt_layer_error(v, "ca_error")?,
-        error: opt_str(v, "error")?,
+        valid_len: pos as u64,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::{FailureCause, LayerError};
     use std::fs;
+    use std::net::Ipv4Addr;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("webdep-journal-{name}-{}", std::process::id()))
@@ -386,6 +288,25 @@ mod tests {
         o
     }
 
+    /// Writes a journal over `sites` sites holding `order`'s records and
+    /// returns the byte offset at which each frame starts, plus the end.
+    fn write(path: &Path, sites: usize, order: &[usize]) -> Vec<usize> {
+        let mut w = JournalWriter::create(path, "t", sites).unwrap();
+        let mut starts = Vec::new();
+        for &i in order {
+            w.sync().unwrap();
+            starts.push(fs::metadata(path).unwrap().len() as usize);
+            w.append(i, &sample_obs(i)).unwrap();
+        }
+        drop(w);
+        starts.push(fs::metadata(path).unwrap().len() as usize);
+        starts
+    }
+
+    fn sites(j: &Journal) -> Vec<usize> {
+        j.records.iter().map(|(i, _)| *i).collect()
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let path = tmp("roundtrip");
@@ -397,45 +318,95 @@ mod tests {
         }
         drop(w);
 
-        let j = load(&path).unwrap();
-        assert_eq!(j.label, "tiny-v1");
-        assert_eq!(j.sites, 10);
+        let j = open(&path, "tiny-v1", 10).unwrap();
         assert!(!j.torn_tail);
-        assert_eq!(j.records.len(), 6);
+        assert_eq!(j.valid_len, fs::metadata(&path).unwrap().len());
+        assert_eq!(sites(&j), [3, 0, 7, 1, 9, 2], "records keep file order");
         for (i, obs) in &j.records {
             assert_eq!(obs, &original[*i], "site {i} must roundtrip exactly");
-            // Byte-level: re-serialization matches the original bytes.
-            assert_eq!(
-                serde_json::to_string(obs).unwrap(),
-                serde_json::to_string(&original[*i]).unwrap()
-            );
         }
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn torn_tail_is_dropped_but_middle_corruption_fails() {
+    fn a_torn_last_frame_keeps_every_earlier_record() {
         let path = tmp("torn");
-        let mut w = JournalWriter::create(&path, "t", 4).unwrap();
-        w.append(0, &sample_obs(0)).unwrap();
+        let starts = write(&path, 4, &[2, 0, 1]);
+        let bytes = fs::read(&path).unwrap();
+        let (last, end) = (starts[2], starts[3]);
+        let torn = |damaged: &[u8]| {
+            fs::write(&path, damaged).unwrap();
+            let j = open(&path, "t", 4).unwrap();
+            assert!(j.torn_tail && j.valid_len == last as u64);
+            assert_eq!(sites(&j), [2, 0]);
+        };
+        // Every cut inside the last frame, header or payload.
+        for cut in last + 1..end {
+            torn(&bytes[..cut]);
+        }
+        // A flipped payload bit in the last frame.
+        let mut flipped = bytes.clone();
+        flipped[last + FRAME_HEAD + 30] ^= 0x10;
+        torn(&flipped);
+        // The largest length with a valid check: nothing is allocated for
+        // it, the frame simply runs past the end of the file.
+        let mut inflated = bytes.clone();
+        inflated[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        inflated[last + 4..last + 8].copy_from_slice(&(!u32::MAX).to_le_bytes());
+        torn(&inflated);
+        // Zero-filled blocks after the last fsync, starting inside the last
+        // frame's header or payload.
+        for cut in [last + 2, last + FRAME_HEAD + 10] {
+            let mut zeroed = bytes[..cut].to_vec();
+            zeroed.resize(end + 4096, 0);
+            torn(&zeroed);
+        }
+        // ... or right after the last whole frame, which is then kept.
+        let mut zeroed = bytes.clone();
+        zeroed.resize(end + 16, 0);
+        fs::write(&path, &zeroed).unwrap();
+        let j = open(&path, "t", 4).unwrap();
+        assert!(j.torn_tail && j.valid_len == end as u64);
+        assert_eq!((sites(&j), j.frames), (vec![2, 0, 1], 3));
+
+        // Resume cuts the torn bytes off, then appends after the last
+        // whole frame.
+        fs::write(&path, &bytes[..end - 5]).unwrap();
+        let j = open(&path, "t", 4).unwrap();
+        let mut w = JournalWriter::append_loaded(&path, &j).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), last as u64);
         w.append(1, &sample_obs(1)).unwrap();
+        w.append(3, &sample_obs(3)).unwrap();
         drop(w);
+        assert_eq!(&fs::read(&path).unwrap()[..end], &bytes[..]);
+        let j = open(&path, "t", 4).unwrap();
+        assert!(!j.torn_tail);
+        assert_eq!(sites(&j), [2, 0, 1, 3]);
+        fs::remove_file(&path).unwrap();
+    }
 
-        // Simulate a crash mid-append: truncate the final line.
-        let text = fs::read_to_string(&path).unwrap();
-        let cut = text.len() - 40;
-        fs::write(&path, &text[..cut]).unwrap();
-        let j = load(&path).unwrap();
-        assert!(j.torn_tail);
-        assert_eq!(j.records.len(), 1, "torn final record is dropped");
-        assert_eq!(j.records[0].0, 0);
-
-        // The same damage mid-file is corruption, not a torn tail.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let cut = lines[1].len() - 40;
-        lines[1].truncate(cut);
-        fs::write(&path, lines.join("\n")).unwrap();
-        assert!(load(&path).is_err(), "mid-file corruption must fail");
+    #[test]
+    fn flipped_bits_before_the_last_frame_are_corruption() {
+        let path = tmp("flip");
+        let starts = write(&path, 4, &[2, 0, 1]);
+        let bytes = fs::read(&path).unwrap();
+        let middle = starts[1];
+        let corrupt = |at: usize, why: &str| {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x01;
+            // A zero-filled tail after it does not excuse it.
+            for zeros in [0, 64] {
+                flipped.resize(bytes.len() + zeros, 0);
+                fs::write(&path, &flipped).unwrap();
+                let e = open(&path, "t", 4).unwrap_err().to_string();
+                assert!(e.contains("frame 1") && e.contains(why), "{e}");
+            }
+        };
+        // In the payload, the chunk checksum catches it.
+        corrupt(middle + FRAME_HEAD + 30, "checksum");
+        // In the length, the check catches it before the length is used,
+        // so it is never mistaken for a torn tail.
+        corrupt(middle + 1, "fails its check");
         fs::remove_file(&path).unwrap();
     }
 
@@ -445,18 +416,18 @@ mod tests {
         {
             let _w = JournalWriter::create(&path, "world-a", 5).unwrap();
         }
-        assert!(JournalWriter::append_existing(&path, "world-b", 5).is_err());
-        assert!(JournalWriter::append_existing(&path, "world-a", 6).is_err());
-        let w = JournalWriter::append_existing(&path, "world-a", 5).unwrap();
-        assert_eq!(w.written(), 0);
-        drop(w);
+        let e = open(&path, "world-b", 5).unwrap_err();
+        assert!(e.to_string().contains("not 'world-b'"), "{e}");
+        assert!(open(&path, "world-a", 6).is_err());
+        let j = open(&path, "world-a", 5).unwrap();
+        assert!(j.records.is_empty() && !j.torn_tail);
 
-        fs::write(
-            &path,
-            "{\"magic\":\"nope\",\"version\":1,\"label\":\"x\",\"sites\":1}\n",
-        )
-        .unwrap();
-        assert!(load(&path).is_err(), "bad magic must fail");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[0] = b'X';
+        fs::write(&path, &bytes).unwrap();
+        assert!(open(&path, "world-a", 5).is_err(), "bad magic must fail");
+        fs::write(&path, &bytes[..10]).unwrap();
+        assert!(open(&path, "world-a", 5).is_err(), "torn header must fail");
         fs::remove_file(&path).unwrap();
     }
 
@@ -470,22 +441,21 @@ mod tests {
         w.append(1, &first).unwrap();
         w.append(1, &second).unwrap();
         drop(w);
-        let j = load(&path).unwrap();
-        assert_eq!(j.records.len(), 1);
+        let j = open(&path, "t", 3).unwrap();
+        assert_eq!((j.records.len(), j.frames), (1, 2));
         assert_eq!(j.records[0].1.hosting_asn, first.hosting_asn);
 
-        let mut slots: Vec<Option<SiteObservation>> = vec![None; 3];
-        assert_eq!(j.fill_slots(&mut slots), 1);
-        assert!(slots[1].is_some() && slots[0].is_none());
-
-        // Out-of-bounds site index in the middle is corruption.
-        let mut w = JournalWriter::append_existing(&path, "t", 3).unwrap();
+        // A well-formed record for a site outside the run is corruption,
+        // in the middle of the file and at its end alike.
+        let mut w = JournalWriter::append_loaded(&path, &j).unwrap();
+        w.append(7, &sample_obs(7)).unwrap();
+        drop(w);
+        let e = open(&path, "t", 3).unwrap_err();
+        assert!(e.to_string().contains("out of bounds"), "{e}");
+        let mut w = JournalWriter::append_loaded(&path, &j).unwrap();
         w.append(2, &sample_obs(2)).unwrap();
         drop(w);
-        let text = fs::read_to_string(&path).unwrap();
-        let bumped = text.replace("{\"site\":2,", "{\"site\":7,");
-        fs::write(&path, format!("{bumped}{{\"site\":0,\"obs\":null}}\n")).unwrap();
-        assert!(load(&path).is_err());
+        assert!(open(&path, "t", 3).is_err());
         fs::remove_file(&path).unwrap();
     }
 }

@@ -23,10 +23,10 @@
 //! requeues a lost worker's in-flight batch and respawns replacements.
 //! Because per-site measurement is deterministic, a requeued batch
 //! re-measures to identical bytes — worker loss costs wall-clock, not
-//! correctness. [`measure_journaled`] additionally checkpoints every
-//! completed observation to an append-only JSONL journal
-//! ([`crate::journal`]) and [`resume_from_journal`] continues a crashed
-//! run, provably reassembling a byte-identical dataset.
+//! correctness. [`measure_streamed`] can additionally checkpoint every
+//! completed observation to an append-only journal of one-row chunks
+//! ([`crate::journal`]), and [`resume_streamed`] continues a crashed run,
+//! provably reassembling a byte-identical store.
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use crate::journal::{self, JournalWriter};
@@ -147,76 +147,79 @@ struct WorkerReport {
     panics_isolated: u64,
 }
 
-/// Where committed observations land.
+/// Where committed observations land; workers share it behind a mutex.
 ///
-/// The resident sink is the original in-memory path: one slot per site,
-/// assembled into a [`MeasuredDataset`] when the run ends. The streaming
-/// sink instead hands each observation to the chunked columnar store
+/// The resident sink is the in-memory path: one slot per site, assembled
+/// into a [`MeasuredDataset`] when the run ends. The streaming sink
+/// instead hands each observation to the chunked columnar store
 /// ([`crate::store`]) and *drops it* — peak memory is bounded by the
 /// scheduler's batch spread, not the world size, which is what lets
-/// million-site runs fit in a laptop's RAM.
+/// million-site runs fit in a laptop's RAM. Only a streaming run can carry
+/// a crash journal, which records each observation in the same breath as
+/// the store, so a worker loss can never lose a committed site.
 pub(crate) enum Sink {
     /// One in-memory slot per site.
     Resident(Vec<Option<SiteObservation>>),
-    /// Observations flow into the chunk store; only a done-bitmap stays
-    /// resident.
+    /// Observations flow into the chunk store (and the journal, when
+    /// enabled); only a done-bitmap stays resident.
     Streaming {
         done: Vec<bool>,
         store: ChunkStoreWriter,
-        store_error: Option<io::Error>,
+        journal: Option<JournalWriter>,
+        /// The first store or journal error; writing stops there, while
+        /// measuring runs on so the run still completes.
+        error: Option<io::Error>,
     },
 }
 
 impl Sink {
+    /// A streaming sink over `store` with the `done` sites already in it.
+    pub(crate) fn streaming(
+        done: Vec<bool>,
+        store: ChunkStoreWriter,
+        journal: Option<JournalWriter>,
+    ) -> Self {
+        Sink::Streaming {
+            done,
+            store,
+            journal,
+            error: None,
+        }
+    }
+
     fn is_done(&self, site: usize) -> bool {
         match self {
             Sink::Resident(slots) => slots[site].is_some(),
             Sink::Streaming { done, .. } => done[site],
         }
     }
-}
 
-/// The shared result sink: completed observations scatter here per site,
-/// and the journal (when enabled) records them in the same breath, so a
-/// worker loss can never lose a committed site.
-struct Collector {
-    sink: Sink,
-    journal: Option<JournalWriter>,
-    journal_error: Option<io::Error>,
-}
-
-impl Collector {
     /// Commits one observation if the site is still unclaimed. Duplicate
     /// commits (a requeued batch re-measuring a site its dead worker had
     /// already committed is impossible, but a worker declared hung while
     /// actually alive can race its replacement) are idempotent: first
     /// write wins, and determinism makes both writes byte-identical.
     fn commit(&mut self, site: usize, obs: SiteObservation) -> bool {
-        if self.sink.is_done(site) {
+        if self.is_done(site) {
             return false;
         }
-        if let Some(j) = self.journal.as_mut() {
-            if let Err(e) = j.append(site, &obs) {
-                // Keep measuring; surface the first journal error at the end.
-                if self.journal_error.is_none() {
-                    self.journal_error = Some(e);
-                }
-                self.journal = None;
-            }
-        }
-        match &mut self.sink {
+        match self {
             Sink::Resident(slots) => slots[site] = Some(obs),
             Sink::Streaming {
                 done,
                 store,
-                store_error,
+                journal,
+                error,
             } => {
                 done[site] = true;
-                // Keep measuring past a store error (same policy as the
-                // journal): the run completes, the first error surfaces.
-                if store_error.is_none() {
-                    if let Err(e) = store.commit(site, &obs) {
-                        *store_error = Some(e);
+                if error.is_none() {
+                    let written = match journal {
+                        Some(j) => j.append(site, &obs),
+                        None => Ok(()),
+                    }
+                    .and_then(|()| store.commit(site, &obs));
+                    if let Err(e) = written {
+                        *error = Some(e);
                     }
                 }
             }
@@ -243,69 +246,8 @@ pub fn measure_with_stats(
     config: &PipelineConfig,
 ) -> (MeasuredDataset, MeasureStats) {
     let sink = Sink::Resident((0..world.sites.len()).map(|_| None).collect());
-    let (sink, stats, _journal_err) = run_supervised(world, dep, config, None, sink, 0);
+    let (sink, stats) = run_supervised(world, dep, config, sink, 0);
     (assemble_resident(world, sink), stats)
-}
-
-/// Like [`measure_with_stats`], but checkpoints every completed
-/// observation to an append-only JSONL journal at `path` (created,
-/// truncating any previous file). A crashed run can be continued with
-/// [`resume_from_journal`].
-pub fn measure_journaled(
-    world: &World,
-    dep: &DeployedWorld,
-    config: &PipelineConfig,
-    path: &Path,
-) -> io::Result<(MeasuredDataset, MeasureStats)> {
-    let writer = JournalWriter::create(path, &world.label, world.sites.len())?;
-    let sink = Sink::Resident((0..world.sites.len()).map(|_| None).collect());
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, Some(writer), sink, 0);
-    match journal_err {
-        Some(e) => Err(e),
-        None => Ok((assemble_resident(world, sink), stats)),
-    }
-}
-
-/// Continues a journaled run: journaled sites are restored verbatim and
-/// skipped, the rest are measured and appended to the same journal.
-///
-/// Because per-site measurement is deterministic, the result is
-/// byte-identical to the uninterrupted run — property-tested in
-/// `tests/supervision.rs` by killing runs at random progress points.
-pub fn resume_from_journal(
-    world: &World,
-    dep: &DeployedWorld,
-    config: &PipelineConfig,
-    path: &Path,
-) -> io::Result<(MeasuredDataset, MeasureStats)> {
-    let loaded = journal::load(path)?;
-    if loaded.label != world.label || loaded.sites != world.sites.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                loaded.label,
-                loaded.sites,
-                world.label,
-                world.sites.len()
-            ),
-        ));
-    }
-    let writer = JournalWriter::append_loaded(path, &loaded)?;
-    let mut slots: Vec<Option<SiteObservation>> = (0..world.sites.len()).map(|_| None).collect();
-    let resumed = loaded.fill_slots(&mut slots);
-    let (sink, stats, journal_err) = run_supervised(
-        world,
-        dep,
-        config,
-        Some(writer),
-        Sink::Resident(slots),
-        resumed,
-    );
-    match journal_err {
-        Some(e) => Err(e),
-        None => Ok((assemble_resident(world, sink), stats)),
-    }
 }
 
 /// Like [`measure_with_stats`], but observations stream into a chunked
@@ -327,13 +269,9 @@ pub fn measure_streamed(
     let journal = journal_path
         .map(|p| JournalWriter::create(p, &world.label, n))
         .transpose()?;
-    let sink = Sink::Streaming {
-        done: vec![false; n],
-        store,
-        store_error: None,
-    };
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, 0);
-    finish_streaming(world, sink, journal_err, stats)
+    let sink = Sink::streaming(vec![false; n], store, journal);
+    let (sink, stats) = run_supervised(world, dep, config, sink, 0);
+    finish_streaming(world, sink, stats)
 }
 
 /// Continues a crashed [`measure_streamed`] run.
@@ -352,16 +290,7 @@ pub fn resume_streamed(
     journal_path: &Path,
 ) -> io::Result<MeasureStats> {
     let n = world.sites.len();
-    let loaded = journal::load(journal_path)?;
-    if loaded.label != world.label || loaded.sites != n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                loaded.label, loaded.sites, world.label, n
-            ),
-        ));
-    }
+    let loaded = journal::open(journal_path, &world.label, n)?;
     let mut store = ChunkStoreWriter::resume(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
     let mut done: Vec<bool> = (0..n).map(|i| store.site_durable(i)).collect();
     for (i, obs) in &loaded.records {
@@ -372,38 +301,34 @@ pub fn resume_streamed(
     }
     let resumed = done.iter().filter(|&&d| d).count();
     let writer = JournalWriter::append_loaded(journal_path, &loaded)?;
-    let sink = Sink::Streaming {
-        done,
-        store,
-        store_error: None,
-    };
-    let (sink, stats, journal_err) =
-        run_supervised(world, dep, config, Some(writer), sink, resumed);
-    finish_streaming(world, sink, journal_err, stats)
+    let sink = Sink::streaming(done, store, Some(writer));
+    let (sink, stats) = run_supervised(world, dep, config, sink, resumed);
+    finish_streaming(world, sink, stats)
 }
 
-/// Shared tail of the streaming entry points: surface errors, fill any
-/// never-measured site with the same deterministic internal failure the
-/// resident assembly uses, and finalize the store.
+/// Shared tail of the streaming entry points: make the journal durable,
+/// surface the first error, fill any never-measured site with the same
+/// deterministic internal failure the resident assembly uses, and
+/// finalize the store.
 pub(crate) fn finish_streaming(
     world: &World,
     sink: Sink,
-    journal_err: Option<io::Error>,
     stats: MeasureStats,
 ) -> io::Result<MeasureStats> {
     let Sink::Streaming {
         done,
         mut store,
-        store_error,
+        journal,
+        error,
     } = sink
     else {
         unreachable!("streaming entry points build a streaming sink")
     };
-    if let Some(e) = store_error {
+    if let Some(e) = error {
         return Err(e);
     }
-    if let Some(e) = journal_err {
-        return Err(e);
+    if let Some(mut j) = journal {
+        j.sync()?;
     }
     for (i, was_done) in done.iter().enumerate() {
         if !was_done {
@@ -431,10 +356,9 @@ pub(crate) fn run_supervised(
     world: &World,
     dep: &DeployedWorld,
     config: &PipelineConfig,
-    journal: Option<JournalWriter>,
     sink: Sink,
     resumed: usize,
-) -> (Sink, MeasureStats, Option<io::Error>) {
+) -> (Sink, MeasureStats) {
     let n = world.sites.len();
     let workers = config.workers.max(1);
     let sup_cfg = config.supervisor.clone();
@@ -443,11 +367,7 @@ pub(crate) fn run_supervised(
 
     let done_at_start: Vec<bool> = (0..n).map(|i| sink.is_done(i)).collect();
     let completed = AtomicUsize::new(resumed);
-    let collector = Mutex::new(Collector {
-        sink,
-        journal,
-        journal_error: None,
-    });
+    let collector = Mutex::new(sink);
 
     let shared = config.shared_cache.then(|| Arc::new(SharedDnsCache::new()));
     // Static mode assigns one contiguous shard per initial worker up
@@ -631,15 +551,6 @@ pub(crate) fn run_supervised(
     let malformed_flights = reports.iter().map(|r| r.malformed_flights).sum();
     sup_stats.panics_isolated = reports.iter().map(|r| r.panics_isolated).sum();
 
-    let mut coll = collector.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut journal_error = coll.journal_error.take();
-    if let Some(j) = coll.journal.as_mut() {
-        // Final durability point; an error here is as fatal as a mid-run one.
-        if let Err(e) = j.sync() {
-            journal_error.get_or_insert(e);
-        }
-    }
-
     let peak_idle_fraction = worker_busy
         .iter()
         .map(|b| 1.0 - b.as_secs_f64() / wall.as_secs_f64().max(f64::MIN_POSITIVE))
@@ -661,13 +572,14 @@ pub(crate) fn run_supervised(
     // One fold into the process-wide telemetry per run — the hot loop
     // itself stays free of shared counters.
     crate::metrics::record_run(n, &stats);
-    (coll.sink, stats, journal_error)
+    let sink = collector.into_inner().unwrap_or_else(|e| e.into_inner());
+    (sink, stats)
 }
 
 /// Assembles the resident sink's slots into the final dataset. Every site
-/// is accounted for: committed by a worker, restored from the journal, or
-/// failed by the supervisor's poison/deadlock paths — and any slot still
-/// empty becomes a deterministic internal failure.
+/// is accounted for: committed by a worker or failed by the supervisor's
+/// poison/deadlock paths — and any slot still empty becomes a
+/// deterministic internal failure.
 fn assemble_resident(world: &World, sink: Sink) -> MeasuredDataset {
     let Sink::Resident(slots) = sink else {
         unreachable!("resident entry points build a resident sink")
@@ -699,7 +611,7 @@ fn assemble_resident(world: &World, sink: Sink) -> MeasuredDataset {
 /// actually failed (already-committed sites are left untouched).
 fn fail_batch(
     world: &World,
-    collector: &Mutex<Collector>,
+    collector: &Mutex<Sink>,
     completed: &AtomicUsize,
     done_at_start: &[bool],
     batch: &Batch,
@@ -751,7 +663,7 @@ fn worker_main(
     shared: Option<Arc<SharedDnsCache>>,
     chaos: &ChaosPlan,
     queue: &WorkQueue,
-    collector: &Mutex<Collector>,
+    collector: &Mutex<Sink>,
     completed: &AtomicUsize,
     done_at_start: &[bool],
     slot: &WorkerSlot,

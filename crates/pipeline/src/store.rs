@@ -38,12 +38,15 @@
 //! counts, scheduling modes, and crash-resume (tested in
 //! `tests/determinism.rs` and `tests/supervision.rs`).
 //!
-//! Durability mirrors the journal's: a chunk file is written and fsynced
-//! once, when its last site commits; the checksum turns a torn write into
-//! [`ChunkState::Corrupt`], which resume heals by re-encoding the chunk
-//! from journal records. The writer holds only *partial* chunks in memory
-//! (bounded by the scheduler's batch spread), which is what makes
-//! million-site runs memory-bounded end to end.
+//! The run journal ([`crate::journal`]) logs each completed site as a
+//! one-row chunk in this same encoding, so one encoder and one decoder
+//! serve the store, resume, fsck and heal. Durability mirrors the
+//! journal's: a chunk file is written and fsynced once, when its last site
+//! commits; the checksum turns a torn write into [`ChunkState::Corrupt`],
+//! which resume heals by re-encoding the chunk from journal records. The
+//! writer holds only *partial* chunks in memory (bounded by the
+//! scheduler's batch spread), which is what makes million-site runs
+//! memory-bounded end to end.
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
@@ -170,7 +173,7 @@ impl Enc {
 }
 
 /// Encodes one complete chunk (rows in site order) to its file bytes.
-fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
+pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
     // Intern every string in row order; ids are then independent of the
     // order in which sites committed.
     let mut strings = Interner::new();
@@ -295,6 +298,9 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -325,6 +331,8 @@ impl<'a> Dec<'a> {
 /// One decoded chunk: columnar access plus per-row observation
 /// reconstruction. String-valued columns hold ids into [`DecodedChunk::str_of`].
 pub struct DecodedChunk {
+    /// Chunk index from the header.
+    pub(crate) index: usize,
     /// First site index the chunk covers.
     pub lo: usize,
     /// Rows in the chunk (`lo..lo + rows` in site order).
@@ -414,11 +422,14 @@ impl DecodedChunk {
     }
 }
 
-fn decode_chunk(
+/// Decodes one chunk file. `expect` is the `(index, lo, rows)` header a
+/// store's manifest fixes; a journal frame's header names its own site.
+/// Total: every count read from the input is bounded by the bytes left to
+/// back it before anything is allocated, so crafted bytes fail with an
+/// error, never an abort.
+pub(crate) fn decode_chunk(
     bytes: &[u8],
-    expect_index: usize,
-    expect_lo: usize,
-    expect_rows: usize,
+    expect: Option<(usize, usize, usize)>,
 ) -> Result<DecodedChunk, String> {
     if bytes.len() < CHUNK_MAGIC.len() + 8 {
         return Err("chunk too short".into());
@@ -435,14 +446,19 @@ fn decode_chunk(
     let index = d.u32()? as usize;
     let lo = d.u32()? as usize;
     let rows = d.u32()? as usize;
-    if index != expect_index || lo != expect_lo || rows != expect_rows {
+    if let Some((i, l, r)) = expect.filter(|&e| e != (index, lo, rows)) {
         return Err(format!(
             "chunk header (index {index}, lo {lo}, rows {rows}) does not match \
-             manifest (index {expect_index}, lo {expect_lo}, rows {expect_rows})"
+             manifest (index {i}, lo {l}, rows {r})"
         ));
     }
+    // Every row carries at least its three u32 string ids.
+    if rows > d.remaining() / 12 {
+        return Err(format!("row count {rows} exceeds the chunk's bytes"));
+    }
     let n_strings = d.u32()? as usize;
-    let mut strings = Vec::with_capacity(n_strings);
+    // Every string carries at least its u32 length.
+    let mut strings = Vec::with_capacity(n_strings.min(d.remaining() / 4));
     for _ in 0..n_strings {
         let len = d.u32()? as usize;
         let s = std::str::from_utf8(d.take(len)?).map_err(|e| e.to_string())?;
@@ -492,7 +508,9 @@ fn decode_chunk(
     ns_off.push(0u32);
     let mut total_ns = 0u32;
     for _ in 0..rows {
-        total_ns += d.u16()? as u32;
+        total_ns = total_ns
+            .checked_add(d.u16()? as u32)
+            .ok_or("nameserver count overflows")?;
         ns_off.push(total_ns);
     }
     let ns_ids: Vec<u32> = (0..total_ns)
@@ -522,6 +540,7 @@ fn decode_chunk(
         ));
     }
     Ok(DecodedChunk {
+        index,
         lo,
         rows,
         strings,
@@ -753,7 +772,7 @@ impl ChunkStoreWriter {
         }
         let mut bytes = Vec::new();
         File::open(&to)?.read_to_end(&mut bytes)?;
-        decode_chunk(&bytes, c, self.chunk_lo(c), self.chunk_rows(c))
+        decode_chunk(&bytes, Some((c, self.chunk_lo(c), self.chunk_rows(c))))
             .map_err(|e| bad(format!("adopted chunk {c}: {e}")))?;
         self.bytes_written += bytes.len() as u64;
         self.written[c] = true;
@@ -940,7 +959,7 @@ impl ChunkStore {
     pub fn read_chunk(&self, c: usize) -> io::Result<DecodedChunk> {
         let mut bytes = Vec::new();
         File::open(chunk_path(&self.dir, c))?.read_to_end(&mut bytes)?;
-        decode_chunk(&bytes, c, c * self.chunk_sites, self.chunk_rows(c))
+        decode_chunk(&bytes, Some((c, c * self.chunk_sites, self.chunk_rows(c))))
             .map_err(|e| bad(format!("chunk {c}: {e}")))
     }
 
@@ -1101,22 +1120,12 @@ impl ChunkStore {
             }
         }
         if !need_heal.is_empty() {
-            let loaded = match journal {
-                Some(path) => {
-                    let j = crate::journal::load(path)?;
-                    if j.label != store.label || j.sites != store.sites {
-                        return Err(bad(format!(
-                            "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                            j.label, j.sites, store.label, store.sites
-                        )));
-                    }
-                    Some(j)
-                }
-                None => None,
-            };
             let mut slots: Vec<Option<SiteObservation>> = vec![None; store.sites];
-            if let Some(j) = &loaded {
-                j.fill_slots(&mut slots);
+            if let Some(path) = journal {
+                // Records are already deduplicated, keep-first.
+                for (i, obs) in crate::journal::open(path, &store.label, store.sites)?.records {
+                    slots[i] = Some(obs);
+                }
             }
             for c in need_heal {
                 let lo = c * store.chunk_sites;
@@ -1128,7 +1137,7 @@ impl ChunkStore {
                     continue;
                 };
                 let bytes = encode_chunk(c, lo, &batch);
-                decode_chunk(&bytes, c, lo, rows)
+                decode_chunk(&bytes, Some((c, lo, rows)))
                     .map_err(|e| bad(format!("healed chunk {c} failed verification: {e}")))?;
                 let tmp = dir.join(format!("chunk-{c:06}.col.tmp"));
                 let mut f = File::create(&tmp)?;
@@ -1428,6 +1437,24 @@ mod tests {
         fs::remove_dir_all(&dst_dir).unwrap();
     }
 
+    /// Counts read from the input are bounded by the bytes behind them: a
+    /// checksum-valid chunk claiming `u32::MAX` strings or rows is an
+    /// error, not an allocation of that size.
+    #[test]
+    fn crafted_counts_fail_without_allocating() {
+        // After the magic: index, lo, rows, n_strings, one string length.
+        for fields in [[0, 0, 0, u32::MAX, 0], [0, 0, u32::MAX, 0, 0]] {
+            let mut bytes = CHUNK_MAGIC.to_vec();
+            for f in fields {
+                bytes.extend_from_slice(&f.to_le_bytes());
+            }
+            let sum = fnv1a(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            assert_eq!(bytes.len(), 36);
+            assert!(decode_chunk(&bytes, None).is_err());
+        }
+    }
+
     #[test]
     fn finish_rejects_incomplete_store() {
         let dir = tmp("incomplete");
@@ -1477,7 +1504,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let n = 72;
         let all = write_store(&dir, n, 16);
-        let jpath = dir.join("journal.ndjson");
+        let jpath = dir.join("run.journal");
         let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", n).unwrap();
         for (i, obs) in all.iter().enumerate() {
             jw.append(i, obs).unwrap();

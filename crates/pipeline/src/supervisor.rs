@@ -179,7 +179,8 @@ pub struct SupervisionStats {
     /// Sites recorded as failed because their batch hit the poison
     /// threshold (or no workers remained).
     pub sites_poisoned: u64,
-    /// Sites restored from a journal instead of being remeasured.
+    /// Sites restored from a store or journal instead of being
+    /// remeasured.
     pub sites_resumed: u64,
 }
 

@@ -1,14 +1,15 @@
 //! Supervision, chaos, and crash-resume: a panicking site must cost only
 //! itself, a dying worker must cost only one retry of its in-flight
 //! batch, a hung worker must be caught by the watchdog, and a run resumed
-//! from its journal must reassemble a byte-identical dataset.
+//! from its journal must reassemble a byte-identical store.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use webdep_pipeline::journal::{self, JournalWriter};
 use webdep_pipeline::run::measure_with_stats;
 use webdep_pipeline::{
-    measure, measure_journaled, measure_streamed, resume_from_journal, resume_streamed, ChaosPlan,
-    ChunkStore, FailureCause, MeasuredDataset, PipelineConfig, SupervisorConfig,
+    measure, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, FailureCause, MeasureStats,
+    MeasuredDataset, PipelineConfig, SupervisorConfig,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -32,8 +33,9 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("webdep-supervision-{name}-{}", std::process::id()))
 }
 
-/// Byte-level identity, not just `PartialEq`: the journal round-trips
-/// through JSON, so the acceptance bar is the serialized form.
+/// Byte-level identity, not just `PartialEq`: the journal and the store
+/// round-trip through the columnar encoding, so the acceptance bar is the
+/// serialized form.
 fn assert_byte_identical(a: &MeasuredDataset, b: &MeasuredDataset, what: &str) {
     assert_eq!(a, b, "{what}: datasets differ structurally");
     for (x, y) in a.observations.iter().zip(&b.observations) {
@@ -171,6 +173,49 @@ fn hung_worker_is_caught_by_the_watchdog() {
     assert_byte_identical(&clean, &ds, "hung worker");
 }
 
+/// Rewrites the first `k` records of the complete journal at `from` into
+/// `to` — what a run killed after `k` commits leaves behind — and returns
+/// the cut journal's length.
+fn cut_journal(world: &World, from: &Path, k: usize, to: &Path) -> u64 {
+    let n = world.sites.len();
+    let loaded = journal::open(from, &world.label, n).unwrap();
+    let mut w = JournalWriter::create(to, &world.label, n).unwrap();
+    for (i, obs) in &loaded.records[..k] {
+        w.append(*i, obs).unwrap();
+    }
+    drop(w);
+    std::fs::metadata(to).unwrap().len()
+}
+
+/// Like [`cut_journal`], but the crash lands mid-write: `k` whole records
+/// and the first half of record `k + 1`'s bytes.
+fn tear_journal(world: &World, from: &Path, k: usize, to: &Path) {
+    let whole = cut_journal(world, from, k, to);
+    let longer = cut_journal(world, from, k + 1, to);
+    let f = std::fs::OpenOptions::new().write(true).open(to).unwrap();
+    f.set_len(whole + (longer - whole) / 2).unwrap();
+}
+
+/// The finished store at `dir`, reloaded as a dataset.
+fn reload(world: &World, dir: &Path) -> MeasuredDataset {
+    ChunkStore::open(dir)
+        .and_then(|store| store.load_dataset(world))
+        .unwrap()
+}
+
+/// Resumes from `journal` into a fresh store at `dir`, so only the
+/// journal carries the crashed run's progress.
+fn resumed(
+    world: &World,
+    dep: &DeployedWorld,
+    dir: &Path,
+    journal: &Path,
+) -> (MeasuredDataset, MeasureStats) {
+    let _ = std::fs::remove_dir_all(dir);
+    let stats = resume_streamed(world, dep, &config(None), dir, journal).unwrap();
+    (reload(world, dir), stats)
+}
+
 #[test]
 fn resume_is_byte_identical_at_three_progress_points() {
     let world = tiny_world();
@@ -178,31 +223,34 @@ fn resume_is_byte_identical_at_three_progress_points() {
     let n = world.sites.len();
 
     let clean = measure(&world, &dep, &config(None));
+    let full_store = tmp("full-store");
     let full_path = tmp("full");
-    let (full, _) = measure_journaled(&world, &dep, &config(None), &full_path).unwrap();
-    assert_byte_identical(&clean, &full, "journaled run");
+    measure_streamed(&world, &dep, &config(None), &full_store, Some(&full_path)).unwrap();
+    assert_byte_identical(&clean, &reload(&world, &full_store), "journaled run");
 
-    let text = std::fs::read_to_string(&full_path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), n + 1, "header + one record per site");
+    let loaded = journal::open(&full_path, &world.label, n).unwrap();
+    assert!(!loaded.torn_tail);
+    assert_eq!(loaded.frames, n, "one frame per site");
+    assert_eq!(loaded.records.len(), n, "one record per site");
 
+    let store = tmp("resume-store");
     for (point, frac) in [(0, 0.08), (1, 0.5), (2, 0.92)] {
         let k = ((n as f64) * frac) as usize;
-        // Simulate a run killed after k commits: keep the header and the
-        // first k records, exactly what a crashed process leaves behind.
         let cut_path = tmp(&format!("cut-{point}"));
-        std::fs::write(&cut_path, format!("{}\n", lines[..=k].join("\n"))).unwrap();
+        cut_journal(&world, &full_path, k, &cut_path);
 
-        let (resumed, stats) = resume_from_journal(&world, &dep, &config(None), &cut_path).unwrap();
+        let (ds, stats) = resumed(&world, &dep, &store, &cut_path);
         assert_eq!(stats.supervision.sites_resumed, k as u64);
-        assert_byte_identical(&clean, &resumed, &format!("resume from {k}/{n} records"));
+        assert_byte_identical(&clean, &ds, &format!("resume from {k}/{n} records"));
 
         // The healed journal is complete: resuming again measures nothing.
-        let (again, stats2) = resume_from_journal(&world, &dep, &config(None), &cut_path).unwrap();
+        let (again, stats2) = resumed(&world, &dep, &store, &cut_path);
         assert_eq!(stats2.supervision.sites_resumed, n as u64);
         assert_byte_identical(&clean, &again, "second resume (fully journaled)");
         let _ = std::fs::remove_file(&cut_path);
     }
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&full_store);
     let _ = std::fs::remove_file(&full_path);
 }
 
@@ -213,23 +261,29 @@ fn a_torn_journal_tail_heals_on_resume() {
     let n = world.sites.len();
 
     let clean = measure(&world, &dep, &config(None));
+    let full_store = tmp("torn-full-store");
     let full_path = tmp("torn-full");
-    let (_, _) = measure_journaled(&world, &dep, &config(None), &full_path).unwrap();
-    let text = std::fs::read_to_string(&full_path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
+    measure_streamed(&world, &dep, &config(None), &full_store, Some(&full_path)).unwrap();
 
     // A crash mid-write leaves k whole records and half of record k+1.
     let k = n / 4;
-    let half = &lines[k + 1][..lines[k + 1].len() / 2];
     let torn_path = tmp("torn");
-    std::fs::write(&torn_path, format!("{}\n{half}", lines[..=k].join("\n"))).unwrap();
+    tear_journal(&world, &full_path, k, &torn_path);
 
-    let (resumed, stats) = resume_from_journal(&world, &dep, &config(None), &torn_path).unwrap();
+    let store = tmp("torn-store");
+    let (ds, stats) = resumed(&world, &dep, &store, &torn_path);
     assert_eq!(
         stats.supervision.sites_resumed, k as u64,
         "the torn record is dropped"
     );
-    assert_byte_identical(&clean, &resumed, "resume over a torn tail");
+    assert_byte_identical(&clean, &ds, "resume over a torn tail");
+    // The resume cut the torn bytes off before appending, so the journal
+    // now loads whole.
+    let healed = journal::open(&torn_path, &world.label, n).unwrap();
+    assert!(!healed.torn_tail);
+    assert_eq!(healed.records.len(), n);
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&full_store);
     let _ = std::fs::remove_file(&torn_path);
     let _ = std::fs::remove_file(&full_path);
 }
@@ -247,24 +301,20 @@ fn chaos_smoke_one_worker_death_and_resume() {
     let target = n / 2;
 
     let clean = measure(&world, &dep, &config(None));
+    let store = tmp("smoke-store");
     let path = tmp("smoke");
-    let (ds, stats) = measure_journaled(
-        &world,
-        &dep,
-        &config(Some(ChaosPlan::kill_at(&[target]))),
-        &path,
-    )
-    .unwrap();
+    let chaos = config(Some(ChaosPlan::kill_at(&[target])));
+    let stats = measure_streamed(&world, &dep, &chaos, &store, Some(&path)).unwrap();
     assert_eq!(stats.supervision.workers_lost, 1);
+    let ds = reload(&world, &store);
     assert_byte_identical(&clean, &ds, "chaos smoke (journaled, one death)");
 
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
     let cut = tmp("smoke-cut");
-    std::fs::write(&cut, format!("{}\n", lines[..=n / 2].join("\n"))).unwrap();
-    let (resumed, rstats) = resume_from_journal(&world, &dep, &config(None), &cut).unwrap();
+    cut_journal(&world, &path, n / 2, &cut);
+    let (resumed_ds, rstats) = resumed(&world, &dep, &store, &cut);
     assert_eq!(rstats.supervision.sites_resumed, (n / 2) as u64);
-    assert_byte_identical(&clean, &resumed, "chaos smoke resume");
+    assert_byte_identical(&clean, &resumed_ds, "chaos smoke resume");
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&cut);
     let _ = std::fs::remove_file(&path);
 }
@@ -301,10 +351,7 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
         Some(&journal_full),
     )
     .unwrap();
-    let full = ChunkStore::open(&store_full)
-        .unwrap()
-        .load_dataset(&world)
-        .unwrap();
+    let full = reload(&world, &store_full);
     assert_byte_identical(&clean, &full, "uninterrupted streamed run");
 
     // The crash scene.
@@ -322,11 +369,9 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let torn = std::fs::read(&chunks[0]).unwrap();
     std::fs::write(&chunks[0], &torn[..torn.len() - 7]).unwrap();
 
-    let text = std::fs::read_to_string(&journal_full).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
     let k = n * 6 / 10;
     let journal_cut = tmp("stream-cut-journal");
-    std::fs::write(&journal_cut, format!("{}\n", lines[..=k].join("\n"))).unwrap();
+    cut_journal(&world, &journal_full, k, &journal_cut);
 
     let stats = resume_streamed(&world, &dep, &config(None), &store_cut, &journal_cut).unwrap();
     let resumed = stats.supervision.sites_resumed;
@@ -334,10 +379,7 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
         resumed > 0 && resumed < n as u64,
         "expected partial recovery, resumed {resumed}/{n}"
     );
-    let healed = ChunkStore::open(&store_cut)
-        .unwrap()
-        .load_dataset(&world)
-        .unwrap();
+    let healed = reload(&world, &store_cut);
     assert_byte_identical(&clean, &healed, "resume over a torn chunk store");
 
     // Every chunk file healed to the uninterrupted run's exact bytes.

@@ -87,7 +87,7 @@ fn hollow_dataset(world: &World, label: &str) -> MeasuredDataset {
 
 impl CubeSnapshot {
     /// Builds a snapshot from a resident dataset (a fresh measurement or a
-    /// journal resume).
+    /// reloaded store).
     pub fn from_dataset(epoch: u64, world: Arc<World>, dataset: MeasuredDataset) -> Self {
         let ids = tld_ids(&world);
         let mut builder = CubeBuilder::new(dataset.observations.len());

@@ -5,22 +5,23 @@
 //! webdep country DE [tiny|small]   # one country's full dependence profile
 //! webdep tables [tiny|small]       # the four layer tables
 //! webdep experiments [tiny|small]  # the paper-vs-measured suite
-//! webdep measure [tiny|small] --journal run.jsonl   # checkpointed run
-//! webdep measure [tiny|small] --resume run.jsonl    # continue after a crash
+//! webdep measure tiny --store chunks/ --journal run.journal  # checkpointed run
+//! webdep measure tiny --store chunks/ --resume run.journal   # continue after a crash
 //! webdep serve [tiny|small] --addr 127.0.0.1:8439   # resident query service
 //! webdep serve small --store chunks/               # serve a chunked store
 //! webdep evolve 4 tiny --churn 0.1                 # continuous epochs, delta re-measure
 //! webdep evolve 4 tiny --serve-addr 127.0.0.1:8439 # …published live per epoch
-//! webdep fsck chunks/ --repair --journal run.jsonl # verify + heal a store
+//! webdep fsck chunks/ --repair --journal run.journal # verify + heal a store
 //! ```
 //!
 //! The heavier subcommands generate, deploy, and measure a synthetic world
 //! (seconds at `tiny`, ~1 minute at `small`). `measure` runs just the
-//! measurement pipeline and prints its supervision/throughput accounting;
-//! with `--journal` every completed site is checkpointed to an append-only
-//! JSONL file, and `--resume` continues an interrupted journaled run,
-//! re-measuring only the missing sites (the reassembled dataset is
-//! byte-identical to an uninterrupted run).
+//! measurement pipeline and prints its supervision/throughput accounting.
+//! With `--store` the observations stream into a chunk store on disk;
+//! `--journal` then also checkpoints every completed site to an
+//! append-only journal, and `--resume` continues an interrupted journaled
+//! run, re-measuring only the missing sites (the finished store is
+//! byte-identical to an uninterrupted run's).
 
 use std::path::Path;
 use webdep::analysis::centralization::layer_table;
@@ -31,14 +32,14 @@ use webdep::core::centralization::{centralization_score, hhi, ConcentrationBand}
 use webdep::core::dist::CountDist;
 use webdep::core::topn::top_n_share;
 use webdep::pipeline::{
-    measure, measure_journaled, measure_with_stats, resume_from_journal, MeasuredDataset,
+    measure, measure_streamed, measure_with_stats, resume_streamed, ChunkStore, MeasuredDataset,
     PipelineConfig,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--journal <path> | --resume <path>]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair] [--journal <path>]"
+        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--store <dir> [--journal <path> | --resume <path>]]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair] [--journal <path>]"
     );
     std::process::exit(2);
 }
@@ -153,21 +154,23 @@ fn cmd_tables(scale: Option<&str>) {
 
 fn cmd_measure(args: &[String]) {
     let mut scale: Option<&str> = None;
+    let mut store: Option<&str> = None;
     let mut journal: Option<&str> = None;
     let mut resume: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--journal" | "--resume" => {
+            flag @ ("--store" | "--journal" | "--resume") => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("{} needs a path", args[i]);
+                    eprintln!("{flag} needs a path");
                     std::process::exit(2);
                 };
-                if args[i] == "--journal" {
-                    journal = Some(path.as_str());
-                } else {
-                    resume = Some(path.as_str());
-                }
+                let slot = match flag {
+                    "--store" => &mut store,
+                    "--journal" => &mut journal,
+                    _ => &mut resume,
+                };
+                *slot = Some(path.as_str());
                 i += 2;
             }
             s if !s.starts_with("--") && scale.is_none() => {
@@ -184,20 +187,29 @@ fn cmd_measure(args: &[String]) {
         eprintln!("--journal starts a fresh checkpointed run, --resume continues one; pick one");
         std::process::exit(2);
     }
+    if store.is_none() && (journal.is_some() || resume.is_some()) {
+        eprintln!("--journal and --resume checkpoint a chunk store; add --store <dir>");
+        usage();
+    }
 
     let world = World::generate(scale_config(scale));
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let config = PipelineConfig::default();
     eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
-    let run = match (journal, resume) {
-        (Some(p), None) => measure_journaled(&world, &dep, &config, Path::new(p)),
-        (None, Some(p)) => resume_from_journal(&world, &dep, &config, Path::new(p)),
-        _ => Ok(measure_with_stats(&world, &dep, &config)),
+    let (ds, stats) = match store.map(Path::new) {
+        None => measure_with_stats(&world, &dep, &config),
+        Some(dir) => {
+            let run = match resume {
+                Some(p) => resume_streamed(&world, &dep, &config, dir, Path::new(p)),
+                None => measure_streamed(&world, &dep, &config, dir, journal.map(Path::new)),
+            };
+            run.and_then(|stats| Ok((ChunkStore::open(dir)?.load_dataset(&world)?, stats)))
+                .unwrap_or_else(|e| {
+                    eprintln!("store error: {e}");
+                    std::process::exit(1);
+                })
+        }
     };
-    let (ds, stats) = run.unwrap_or_else(|e| {
-        eprintln!("journal error: {e}");
-        std::process::exit(1);
-    });
 
     let sup = &stats.supervision;
     println!("sites            = {}", ds.observations.len());

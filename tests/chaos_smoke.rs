@@ -1,13 +1,14 @@
 //! Tier-1 chaos smoke (see DESIGN.md "Supervision, checkpointing & resume"):
 //! the smallest end-to-end proof that supervision works. One injected worker
 //! death must cost zero observations, and a run killed halfway through must
-//! resume from its journal into a byte-identical dataset.
+//! resume from its journal into a byte-identical store.
 //!
 //! The heavier matrix (panic isolation, poison, watchdog, three-point
 //! resume, torn tails) lives in `crates/pipeline/tests/supervision.rs`.
 
+use webdep::pipeline::journal::{self, JournalWriter};
 use webdep::pipeline::{
-    measure, measure_journaled, resume_from_journal, ChaosPlan, PipelineConfig,
+    measure, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, PipelineConfig,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -27,24 +28,38 @@ fn chaos_smoke_worker_death_and_crash_resume() {
     let clean = measure(&world, &dep, &config);
 
     // One worker killed mid-run: its in-flight batch is requeued and the
-    // dataset comes out byte-identical to the undisturbed run.
+    // store comes out byte-identical to the undisturbed run.
     let chaos = PipelineConfig {
         chaos: Some(ChaosPlan::kill_at(&[n / 2])),
         ..config.clone()
     };
-    let path = std::env::temp_dir().join(format!("webdep-chaos-smoke-{}", std::process::id()));
-    let (ds, stats) = measure_journaled(&world, &dep, &chaos, &path).unwrap();
+    let scratch = |name: &str| {
+        std::env::temp_dir().join(format!("webdep-chaos-smoke-{name}-{}", std::process::id()))
+    };
+    let (store, path) = (scratch("store"), scratch("journal"));
+    let stats = measure_streamed(&world, &dep, &chaos, &store, Some(&path)).unwrap();
     assert_eq!(stats.supervision.workers_lost, 1);
     assert_eq!(stats.supervision.batches_requeued, 1);
-    assert_eq!(clean, ds, "a worker death changed the dataset");
+    let reload = || ChunkStore::open(&store).and_then(|s| s.load_dataset(&world));
+    assert_eq!(
+        clean,
+        reload().unwrap(),
+        "a worker death changed the dataset"
+    );
 
-    // Truncate the journal to half its records — what a killed process
-    // leaves behind — and resume: only the missing half is re-measured.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    std::fs::write(&path, format!("{}\n", lines[..=n / 2].join("\n"))).unwrap();
-    let (resumed, rstats) = resume_from_journal(&world, &dep, &config, &path).unwrap();
+    // Keep the first half of the journal's records — what a killed process
+    // leaves behind — and resume into a fresh store: only the missing half
+    // is re-measured.
+    let loaded = journal::open(&path, &world.label, n).unwrap();
+    let mut cut = JournalWriter::create(&path, &world.label, n).unwrap();
+    for (i, obs) in &loaded.records[..n / 2] {
+        cut.append(*i, obs).unwrap();
+    }
+    drop(cut);
+    std::fs::remove_dir_all(&store).unwrap();
+    let rstats = resume_streamed(&world, &dep, &config, &store, &path).unwrap();
     assert_eq!(rstats.supervision.sites_resumed, (n / 2) as u64);
-    assert_eq!(clean, resumed, "crash-resume changed the dataset");
+    assert_eq!(clean, reload().unwrap(), "crash-resume changed the dataset");
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&path);
 }
