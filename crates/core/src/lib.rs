@@ -61,7 +61,6 @@ pub mod emd;
 pub mod error;
 pub mod fdiv;
 pub mod insularity;
-pub mod intern;
 pub mod metrics;
 pub mod regionalization;
 pub mod topn;
@@ -74,7 +73,6 @@ pub use centralization::{
 pub use dist::CountDist;
 pub use emd::{emd_to_decentralized_counts_ref, EmdWorkspace};
 pub use error::MetricError;
-pub use intern::Interner;
 pub use transport::TransportWorkspace;
 
 /// Convenience re-exports for the common entry points.

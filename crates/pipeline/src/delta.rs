@@ -9,9 +9,12 @@
 //!   wholesale — hard-linked (copy fallback) from the previous store and
 //!   checksum-verified, zero decode and zero re-encode;
 //! * a chunk containing dirty rows (or the previous store's short final
-//!   chunk, whose row count grows with the site table) has its *clean*
-//!   rows decoded from the previous store and re-committed, while its
-//!   dirty rows go to the measurement workers;
+//!   chunk, whose row count grows with the site table) is decoded once
+//!   and its *clean* rows are **spliced** into the new chunk column to
+//!   column (`ChunkStoreWriter::splice`) — no row becomes a
+//!   `SiteObservation` again, and each of the chunk's strings is hashed at
+//!   most once — while its dirty rows go to the measurement workers; the
+//!   decoded chunk is dropped as soon as its rows are in;
 //! * every dirty site is re-measured under the same supervised runner as
 //!   [`crate::run::measure_streamed`].
 //!
@@ -23,6 +26,12 @@
 //! sites' serving IPs fixed while customer counts churn. The identity
 //! holds across worker counts (`tests/delta.rs`), the same contract as
 //! crash-resume.
+//!
+//! At real churn rates the adoption lane rarely fires: with 5% of sites
+//! dirty, a 4,096-row chunk is clean with probability 0.95^4096 ≈ 0, so
+//! every chunk is spliced, re-encoded and fsynced each epoch. That is why
+//! the splice and the encoder are built to cost little per row: an
+//! epoch's store work is O(sites), next to O(churn) re-measurement.
 
 use crate::journal::JournalWriter;
 use crate::run::{finish_streaming, run_supervised, MeasureStats, PipelineConfig, Sink};
@@ -42,7 +51,7 @@ pub struct DeltaStats {
     pub chunks_adopted: usize,
     /// Total chunks in the new store.
     pub chunks_total: usize,
-    /// Clean rows re-committed out of partially dirty chunks.
+    /// Clean rows spliced out of partially dirty chunks.
     pub rows_recommitted: usize,
     /// Stats from the supervised run over the dirty remainder.
     pub measure: MeasureStats,
@@ -106,15 +115,12 @@ pub fn measure_delta(
             }
         } else {
             // The previous epoch's rows are the ground truth for this
-            // chunk's clean sites; dirty rows (and the appended tail) are
-            // left for the workers.
+            // chunk's clean sites, spliced in column to column; dirty rows
+            // (and the appended tail) are left for the workers.
             let chunk = prev.read_chunk(c)?;
-            for r in 0..prev_rows {
-                if !dirty[lo + r] {
-                    store.commit(lo + r, &chunk.observation(r))?;
-                    done[lo + r] = true;
-                    rows_recommitted += 1;
-                }
+            rows_recommitted += store.splice(&chunk, |r| !dirty[lo + r])?;
+            for (d, &is_dirty) in done[lo..lo + prev_rows].iter_mut().zip(&dirty[lo..]) {
+                *d = !is_dirty;
             }
         }
     }

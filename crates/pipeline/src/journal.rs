@@ -10,10 +10,12 @@
 //!
 //! Every payload is a **one-row chunk** in the store's own encoding
 //! ([`crate::store`]): the bytes a one-site-per-chunk store would hold for
-//! that site, FNV-1a checksum included. The store, resume, fsck and heal
-//! therefore share one encoder and one decoder. Frames are appended in
-//! completion order (worker-interleaved, *not* site order); the loader
-//! scatters them back by the site index each chunk header carries.
+//! that site, FNV-1a checksum included, written by the store's own
+//! encoder into a buffer the writer reuses from frame to frame. The
+//! store, resume, fsck and heal therefore share one encoder and one
+//! decoder. Frames are appended in completion order (worker-interleaved,
+//! *not* site order); the loader scatters them back by the site index
+//! each chunk header carries.
 //!
 //! The writer buffers and fsyncs every [`FSYNC_BATCH`] records, so a crash
 //! loses at most one batch of durability plus possibly a torn final frame.
@@ -40,7 +42,7 @@
 //! missing sites and provably reassembles a byte-identical store.
 
 use crate::dataset::SiteObservation;
-use crate::store::{decode_chunk, encode_chunk};
+use crate::store::{decode_chunk, ChunkRows};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -63,16 +65,16 @@ const FRAME_HEAD: usize = 8;
 pub struct JournalWriter {
     out: BufWriter<File>,
     pending: usize,
+    /// The record being encoded, and its frame's bytes; both reused.
+    record: ChunkRows,
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
     /// Creates (truncating) a journal for a run over `sites` sites of the
     /// world labeled `label`, writing and syncing the header immediately.
     pub fn create(path: &Path, label: &str, sites: usize) -> io::Result<Self> {
-        let mut w = JournalWriter {
-            out: BufWriter::new(File::create(path)?),
-            pending: 0,
-        };
+        let mut w = Self::new(File::create(path)?);
         w.out.write_all(&MAGIC)?;
         w.out.write_all(&VERSION.to_le_bytes())?;
         w.out.write_all(&(sites as u64).to_le_bytes())?;
@@ -93,20 +95,31 @@ impl JournalWriter {
             file.set_len(loaded.valid_len)?;
             file.sync_data()?;
         }
-        Ok(JournalWriter {
+        Ok(Self::new(file))
+    }
+
+    fn new(file: File) -> Self {
+        JournalWriter {
             out: BufWriter::new(file),
             pending: 0,
-        })
+            record: ChunkRows::new(1),
+            frame: Vec::new(),
+        }
     }
 
     /// Appends one completed record; flushes and fsyncs every
     /// [`FSYNC_BATCH`] records.
     pub fn append(&mut self, site: usize, obs: &SiteObservation) -> io::Result<()> {
-        let payload = encode_chunk(site, site, std::slice::from_ref(obs));
-        let len = u32::try_from(payload.len()).map_err(|_| bad("record exceeds 4 GiB"))?;
-        self.out.write_all(&len.to_le_bytes())?;
-        self.out.write_all(&(!len).to_le_bytes())?;
-        self.out.write_all(&payload)?;
+        self.record.clear();
+        self.record.add(0, obs);
+        self.frame.clear();
+        self.frame.resize(FRAME_HEAD, 0);
+        self.record.encode(site, site, &mut self.frame);
+        let len = u32::try_from(self.frame.len() - FRAME_HEAD)
+            .map_err(|_| bad("record exceeds 4 GiB"))?;
+        self.frame[..4].copy_from_slice(&len.to_le_bytes());
+        self.frame[4..FRAME_HEAD].copy_from_slice(&(!len).to_le_bytes());
+        self.out.write_all(&self.frame)?;
         self.pending += 1;
         if self.pending >= FSYNC_BATCH {
             self.sync()?;

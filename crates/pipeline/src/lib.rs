@@ -23,6 +23,8 @@ pub mod metrics;
 pub mod run;
 pub mod store;
 pub mod supervisor;
+#[cfg(test)]
+mod testkit;
 pub mod vantage;
 
 pub use dataset::{FailureCause, FailureTaxonomy, LayerError, MeasuredDataset, SiteObservation};

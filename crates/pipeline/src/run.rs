@@ -165,7 +165,8 @@ pub(crate) enum Sink {
     Streaming {
         done: Vec<bool>,
         store: ChunkStoreWriter,
-        journal: Option<JournalWriter>,
+        /// Boxed: the writer carries its reused record encoder.
+        journal: Option<Box<JournalWriter>>,
         /// The first store or journal error; writing stops there, while
         /// measuring runs on so the run still completes.
         error: Option<io::Error>,
@@ -182,7 +183,7 @@ impl Sink {
         Sink::Streaming {
             done,
             store,
-            journal,
+            journal: journal.map(Box::new),
             error: None,
         }
     }

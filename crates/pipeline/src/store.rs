@@ -31,12 +31,20 @@
 //! checksum u64 (FNV-1a over everything above)
 //! ```
 //!
-//! Strings are interned **per chunk** through [`webdep_core::Interner`], in
-//! row order — site order, not commit order — so the encoded bytes are a
-//! pure function of the chunk's observations. Combined with the pipeline's
+//! Each chunk has its own string table. A chunk's rows arrive in commit
+//! order and are held as compact columns whose strings are ids into a
+//! table that hashes each string once (`ChunkRows`). The flush then
+//! numbers the strings by **first occurrence in site order**, visiting each
+//! row's strings in field order — domain, tld, language, hosting
+//! countries, NS names, DNS and CA countries, error details, error — so
+//! the encoded bytes are a pure function of the chunk's observations, not
+//! of the order sites committed in. Combined with the pipeline's
 //! determinism contract, the whole store is byte-identical across worker
 //! counts, scheduling modes, and crash-resume (tested in
-//! `tests/determinism.rs` and `tests/supervision.rs`).
+//! `tests/determinism.rs` and `tests/supervision.rs`; the bytes themselves
+//! are pinned by a golden test). A decoded chunk's rows can be spliced
+//! into a writer column to column (`ChunkStoreWriter::splice`), which is
+//! how an epoch carries its clean rows over without materializing them.
 //!
 //! The run journal ([`crate::journal`]) logs each completed site as a
 //! one-row chunk in this same encoding, so one encoder and one decoder
@@ -55,7 +63,6 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
-use webdep_core::Interner;
 
 /// Manifest magic string.
 pub const STORE_MAGIC: &str = "webdep-chunk-store";
@@ -136,11 +143,427 @@ fn cause_from_index(i: u8) -> Result<FailureCause, String> {
 // ---------------------------------------------------------------------------
 // Encoding
 
-struct Enc {
-    buf: Vec<u8>,
+/// A chunk's string table while its rows arrive: each distinct string once,
+/// in first-add order, found again by one hash of its bytes. The strings
+/// live back to back in one buffer, so adding a string never allocates
+/// per string. The hash is unkeyed: strings crafted to share slots can
+/// make adds probe linearly, but a table holds one chunk's strings, so
+/// the worst case is quadratic in the chunk size, never in the world.
+struct StrTable {
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each string, by id.
+    ends: Vec<usize>,
+    /// Hash of each string, by id, kept for growing the slots.
+    hashes: Vec<u64>,
+    /// Open-addressing slots (a power of two): 0 is empty, else id + 1.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's top bits index the slots.
+    shift: u32,
 }
 
-impl Enc {
+/// A fast multiplicative hash over 8-byte words; its high bits pick the
+/// slot. Collisions only cost a probe, and the ids never depend on it.
+fn str_hash(b: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let n = b.len();
+    let mut h = (n as u64).wrapping_mul(K);
+    let mut mix = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap()) as u64;
+    if n >= 8 {
+        // Whole words, then the last eight bytes (overlapping).
+        for w in b[..n - 1].chunks_exact(8) {
+            mix(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        mix(u64::from_le_bytes(b[n - 8..].try_into().unwrap()));
+    } else if n >= 4 {
+        mix(u32_at(0) << 32 | u32_at(n - 4));
+    } else if n > 0 {
+        mix(b[0] as u64 | (b[n / 2] as u64) << 8 | (b[n - 1] as u64) << 16);
+    }
+    h
+}
+
+impl StrTable {
+    /// A table with slots for about `strings` strings before it grows.
+    fn new(strings: usize) -> Self {
+        let slots = (2 * strings).next_power_of_two().max(8);
+        StrTable {
+            bytes: Vec::new(),
+            ends: Vec::with_capacity(strings),
+            hashes: Vec::with_capacity(strings),
+            slots: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.bytes[start..self.ends[id]]
+    }
+
+    /// The id of `s`, added if new.
+    fn add(&mut self, s: &str) -> u32 {
+        let h = str_hash(s.as_bytes());
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        while let Some(id) = self.slots[i].checked_sub(1) {
+            if self.hashes[id as usize] == h && self.get(id) == s.as_bytes() {
+                return id;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = u32::try_from(self.len()).expect("string table overflow");
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.ends.push(self.bytes.len());
+        self.hashes.push(h);
+        self.slots[i] = id + 1;
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (id, &h) in self.hashes.iter().enumerate() {
+            let mut i = (h >> self.shift) as usize;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id as u32 + 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.hashes.clear();
+        self.slots.fill(0);
+    }
+
+    fn opt(&mut self, s: &Option<String>) -> Option<u32> {
+        s.as_deref().map(|s| self.add(s))
+    }
+}
+
+/// One layer's values for one row; hosting and DNS share the shape.
+#[derive(Clone, Copy)]
+struct LayerRow {
+    ip: Option<Ipv4Addr>,
+    asn: Option<u32>,
+    org: Option<u32>,
+    org_country: Option<u32>,
+    ip_country: Option<u32>,
+    anycast: bool,
+}
+
+/// One layer's columns.
+struct LayerCols {
+    ip: Vec<Option<Ipv4Addr>>,
+    asn: Vec<Option<u32>>,
+    org: Vec<Option<u32>>,
+    org_country: Vec<Option<u32>>,
+    ip_country: Vec<Option<u32>>,
+    anycast: Vec<bool>,
+}
+
+impl LayerCols {
+    fn new(rows: usize) -> Self {
+        LayerCols {
+            ip: vec![None; rows],
+            asn: vec![None; rows],
+            org: vec![None; rows],
+            org_country: vec![None; rows],
+            ip_country: vec![None; rows],
+            anycast: vec![false; rows],
+        }
+    }
+
+    fn set(&mut self, r: usize, v: LayerRow) {
+        self.ip[r] = v.ip;
+        self.asn[r] = v.asn;
+        self.org[r] = v.org;
+        self.org_country[r] = v.org_country;
+        self.ip_country[r] = v.ip_country;
+        self.anycast[r] = v.anycast;
+    }
+}
+
+/// The rows of one chunk as they arrive, in any order: the chunk's columns,
+/// with every string an id into one table that grows as rows come in.
+/// [`ChunkRows::encode`] renumbers the strings by first occurrence in site
+/// order, so the bytes are a pure function of the rows, not of the order
+/// they came in.
+pub(crate) struct ChunkRows {
+    strings: StrTable,
+    domain: Vec<u32>,
+    tld: Vec<u32>,
+    language: Vec<u32>,
+    hosting: LayerCols,
+    /// Row `r`'s nameserver ids are `ns[ns_at[r]..][..ns_len[r]]`.
+    ns_at: Vec<usize>,
+    ns_len: Vec<usize>,
+    ns: Vec<u32>,
+    dns: LayerCols,
+    ca_owner: Vec<Option<u32>>,
+    ca_owner_country: Vec<Option<u32>>,
+    /// Hosting, DNS and CA layer errors: cause and detail id.
+    errors: [Vec<Option<(FailureCause, u32)>>; 3],
+    error: Vec<Option<u32>>,
+    filled: Vec<bool>,
+    missing: usize,
+    /// Encode scratch: final id per table id (`u32::MAX` = not yet seen).
+    remap: Vec<u32>,
+}
+
+impl ChunkRows {
+    /// An empty chunk of `rows` rows.
+    pub(crate) fn new(rows: usize) -> Self {
+        ChunkRows {
+            strings: StrTable::new(rows + 16),
+            domain: vec![0; rows],
+            tld: vec![0; rows],
+            language: vec![0; rows],
+            hosting: LayerCols::new(rows),
+            ns_at: vec![0; rows],
+            ns_len: vec![0; rows],
+            ns: Vec::new(),
+            dns: LayerCols::new(rows),
+            ca_owner: vec![None; rows],
+            ca_owner_country: vec![None; rows],
+            errors: std::array::from_fn(|_| vec![None; rows]),
+            error: vec![None; rows],
+            filled: vec![false; rows],
+            missing: rows,
+            remap: Vec::new(),
+        }
+    }
+
+    /// Empties the chunk for reuse, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.strings.clear();
+        self.ns.clear();
+        self.filled.fill(false);
+        self.missing = self.filled.len();
+    }
+
+    /// Marks row `r` set; `false` if it already was.
+    fn claim(&mut self, r: usize) -> bool {
+        if std::mem::replace(&mut self.filled[r], true) {
+            return false;
+        }
+        self.missing -= 1;
+        true
+    }
+
+    /// Sets row `r` from an observation; `false` if it is already set.
+    pub(crate) fn add(&mut self, r: usize, obs: &SiteObservation) -> bool {
+        if !self.claim(r) {
+            return false;
+        }
+        let t = &mut self.strings;
+        self.domain[r] = t.add(&obs.domain);
+        self.tld[r] = t.add(&obs.tld);
+        self.language[r] = t.add(&obs.language);
+        self.hosting.set(
+            r,
+            LayerRow {
+                ip: obs.hosting_ip,
+                asn: obs.hosting_asn,
+                org: obs.hosting_org,
+                org_country: t.opt(&obs.hosting_org_country),
+                ip_country: t.opt(&obs.hosting_ip_country),
+                anycast: obs.hosting_anycast,
+            },
+        );
+        self.ns_at[r] = self.ns.len();
+        self.ns_len[r] = obs.ns_names.len();
+        self.ns.extend(obs.ns_names.iter().map(|n| t.add(n)));
+        self.dns.set(
+            r,
+            LayerRow {
+                ip: obs.dns_ip,
+                asn: obs.dns_asn,
+                org: obs.dns_org,
+                org_country: t.opt(&obs.dns_org_country),
+                ip_country: t.opt(&obs.dns_ip_country),
+                anycast: obs.dns_anycast,
+            },
+        );
+        self.ca_owner[r] = obs.ca_owner;
+        self.ca_owner_country[r] = t.opt(&obs.ca_owner_country);
+        for (col, e) in
+            self.errors
+                .iter_mut()
+                .zip([&obs.hosting_error, &obs.dns_error, &obs.ca_error])
+        {
+            col[r] = e.as_ref().map(|e| (e.cause, t.add(&e.detail)));
+        }
+        self.error[r] = t.opt(&obs.error);
+        true
+    }
+
+    /// Sets row `r` to row `s` of a decoded chunk, column by column, with
+    /// no [`SiteObservation`] in between. `memo` maps `src`'s string ids
+    /// to this table's (`u32::MAX` = not yet added); one memo per source
+    /// chunk adds each of its strings at most once. `false` if row `r` is
+    /// already set.
+    fn splice(&mut self, r: usize, src: &DecodedChunk, s: usize, memo: &mut [u32]) -> bool {
+        if !self.claim(r) {
+            return false;
+        }
+        let t = &mut self.strings;
+        let mut id = |i: u32| {
+            let m = &mut memo[i as usize];
+            if *m == u32::MAX {
+                *m = t.add(src.str_of(i));
+            }
+            *m
+        };
+        self.domain[r] = id(src.domain[s]);
+        self.tld[r] = id(src.tld[s]);
+        self.language[r] = id(src.language[s]);
+        self.hosting.set(
+            r,
+            LayerRow {
+                ip: src.hosting_ip[s],
+                asn: src.hosting_asn[s],
+                org: src.hosting_org[s],
+                org_country: src.hosting_org_country[s].map(&mut id),
+                ip_country: src.hosting_ip_country[s].map(&mut id),
+                anycast: src.hosting_anycast[s],
+            },
+        );
+        let ns = &src.ns_ids[src.ns_off[s] as usize..src.ns_off[s + 1] as usize];
+        self.ns_at[r] = self.ns.len();
+        self.ns_len[r] = ns.len();
+        self.ns.extend(ns.iter().map(|&i| id(i)));
+        self.dns.set(
+            r,
+            LayerRow {
+                ip: src.dns_ip[s],
+                asn: src.dns_asn[s],
+                org: src.dns_org[s],
+                org_country: src.dns_org_country[s].map(&mut id),
+                ip_country: src.dns_ip_country[s].map(&mut id),
+                anycast: src.dns_anycast[s],
+            },
+        );
+        self.ca_owner[r] = src.ca_owner[s];
+        self.ca_owner_country[r] = src.ca_owner_country[s].map(&mut id);
+        for (col, from) in
+            self.errors
+                .iter_mut()
+                .zip([&src.hosting_error, &src.dns_error, &src.ca_error])
+        {
+            col[r] = from[s].map(|(cause, detail)| (cause, id(detail)));
+        }
+        self.error[r] = src.error[s].map(&mut id);
+        true
+    }
+
+    /// Whether every row is set.
+    pub(crate) fn is_full(&self) -> bool {
+        self.missing == 0
+    }
+
+    fn ns_of(&self, r: usize) -> &[u32] {
+        &self.ns[self.ns_at[r]..self.ns_at[r] + self.ns_len[r]]
+    }
+
+    /// Appends the chunk's file bytes to `out`. Every row must be set.
+    ///
+    /// String ids are assigned by first occurrence in site order, visiting
+    /// each row's strings in field order: domain, tld, language, hosting
+    /// countries, NS names, DNS and CA countries, error details, error.
+    /// The table is written in that same pass, with no hashing.
+    pub(crate) fn encode(&mut self, chunk_index: usize, lo: usize, out: &mut Vec<u8>) {
+        assert!(self.is_full(), "encoding an incomplete chunk");
+        let start = out.len();
+        let mut e = Enc { buf: out };
+        e.buf.extend_from_slice(&CHUNK_MAGIC);
+        e.u32(chunk_index as u32);
+        e.u32(lo as u32);
+        e.u32(self.filled.len() as u32);
+        let count_at = e.buf.len();
+        e.u32(0);
+
+        let mut remap = std::mem::take(&mut self.remap);
+        remap.clear();
+        remap.resize(self.strings.len(), u32::MAX);
+        let mut next = 0u32;
+        let mut visit = |id: u32| {
+            let slot = &mut remap[id as usize];
+            if *slot == u32::MAX {
+                *slot = next;
+                next += 1;
+                let s = self.strings.get(id);
+                e.u32(s.len() as u32);
+                e.buf.extend_from_slice(s);
+            }
+        };
+        let (h, d) = (&self.hosting, &self.dns);
+        for r in 0..self.filled.len() {
+            visit(self.domain[r]);
+            visit(self.tld[r]);
+            visit(self.language[r]);
+            h.org_country[r]
+                .into_iter()
+                .chain(h.ip_country[r])
+                .chain(self.ns_of(r).iter().copied())
+                .chain(d.org_country[r])
+                .chain(d.ip_country[r])
+                .chain(self.ca_owner_country[r])
+                .chain(self.errors.iter().filter_map(|col| col[r].map(|(_, d)| d)))
+                .chain(self.error[r])
+                .for_each(&mut visit);
+        }
+        e.buf[count_at..count_at + 4].copy_from_slice(&next.to_le_bytes());
+
+        let id = |i: u32| remap[i as usize];
+        for col in [&self.domain, &self.tld, &self.language] {
+            for &s in col {
+                e.u32(id(s));
+            }
+        }
+        e.layer(h, &id);
+        for &n in &self.ns_len {
+            e.u16(n as u16);
+        }
+        for r in 0..self.filled.len() {
+            for &n in self.ns_of(r) {
+                e.u32(id(n));
+            }
+        }
+        e.layer(d, &id);
+        e.opt(&self.ca_owner, Enc::u32);
+        e.opt(&self.ca_owner_country, |e, v| e.u32(id(v)));
+        for col in &self.errors {
+            e.opt(col, |e, (cause, detail)| {
+                e.u8(cause_index(cause));
+                e.u32(id(detail));
+            });
+        }
+        e.opt(&self.error, |e, v| e.u32(id(v)));
+
+        let sum = fnv1a(&e.buf[start..]);
+        e.u64(sum);
+        self.remap = remap;
+    }
+}
+
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
+}
+
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -154,139 +577,45 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// LSB-first presence bitmap over the rows.
-    fn bitmap<T, F: Fn(&T) -> bool>(&mut self, rows: &[T], present: F) {
-        let mut byte = 0u8;
-        for (r, row) in rows.iter().enumerate() {
-            if present(row) {
-                byte |= 1 << (r % 8);
-            }
-            if r % 8 == 7 {
-                self.u8(byte);
-                byte = 0;
-            }
-        }
-        if !rows.len().is_multiple_of(8) {
+    /// LSB-first presence bitmap over a column.
+    fn bitmap<T>(&mut self, col: &[T], present: impl Fn(&T) -> bool) {
+        for bits in col.chunks(8) {
+            let byte = bits
+                .iter()
+                .enumerate()
+                .fold(0u8, |b, (i, v)| b | (present(v) as u8) << i);
             self.u8(byte);
         }
+    }
+
+    /// An `Option` column: presence bitmap, then one value per present row.
+    fn opt<T: Copy>(&mut self, col: &[Option<T>], mut emit: impl FnMut(&mut Self, T)) {
+        self.bitmap(col, Option::is_some);
+        for &v in col.iter().flatten() {
+            emit(self, v);
+        }
+    }
+
+    /// One layer's columns: ip, asn, org, org and ip countries, anycast.
+    fn layer(&mut self, l: &LayerCols, id: &impl Fn(u32) -> u32) {
+        self.opt(&l.ip, |e, ip| e.u32(u32::from(ip)));
+        self.opt(&l.asn, Enc::u32);
+        self.opt(&l.org, Enc::u32);
+        self.opt(&l.org_country, |e, v| e.u32(id(v)));
+        self.opt(&l.ip_country, |e, v| e.u32(id(v)));
+        self.bitmap(&l.anycast, |&a| a);
     }
 }
 
 /// Encodes one complete chunk (rows in site order) to its file bytes.
 pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
-    // Intern every string in row order; ids are then independent of the
-    // order in which sites committed.
-    let mut strings = Interner::new();
-    for obs in rows {
-        strings.intern(&obs.domain);
-        strings.intern(&obs.tld);
-        strings.intern(&obs.language);
-        for c in [&obs.hosting_org_country, &obs.hosting_ip_country]
-            .into_iter()
-            .flatten()
-        {
-            strings.intern(c);
-        }
-        for n in &obs.ns_names {
-            strings.intern(n);
-        }
-        for c in [
-            &obs.dns_org_country,
-            &obs.dns_ip_country,
-            &obs.ca_owner_country,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            strings.intern(c);
-        }
-        for e in [&obs.hosting_error, &obs.dns_error, &obs.ca_error]
-            .into_iter()
-            .flatten()
-        {
-            strings.intern(&e.detail);
-        }
-        if let Some(e) = &obs.error {
-            strings.intern(e);
-        }
+    let mut chunk = ChunkRows::new(rows.len());
+    for (r, obs) in rows.iter().enumerate() {
+        chunk.add(r, obs);
     }
-
-    let mut e = Enc { buf: Vec::new() };
-    e.buf.extend_from_slice(&CHUNK_MAGIC);
-    e.u32(chunk_index as u32);
-    e.u32(lo as u32);
-    e.u32(rows.len() as u32);
-    e.u32(strings.len() as u32);
-    for s in strings.iter() {
-        e.u32(s.len() as u32);
-        e.buf.extend_from_slice(s.as_bytes());
-    }
-    let id = |s: &str| strings.get(s).expect("interned above");
-
-    for obs in rows {
-        e.u32(id(&obs.domain));
-    }
-    for obs in rows {
-        e.u32(id(&obs.tld));
-    }
-    for obs in rows {
-        e.u32(id(&obs.language));
-    }
-
-    // Option<T> columns: presence bitmap, then one value per present row.
-    macro_rules! opt_col {
-        ($field:ident, $emit:expr) => {{
-            e.bitmap(rows, |o| o.$field.is_some());
-            for obs in rows {
-                if let Some(v) = &obs.$field {
-                    #[allow(clippy::redundant_closure_call)]
-                    ($emit)(&mut e, v);
-                }
-            }
-        }};
-    }
-    let emit_ip = |e: &mut Enc, ip: &Ipv4Addr| e.u32(u32::from(*ip));
-    let emit_u32 = |e: &mut Enc, v: &u32| e.u32(*v);
-    let emit_str = |e: &mut Enc, s: &String| e.u32(id(s));
-    let emit_err = |e: &mut Enc, err: &LayerError| {
-        e.u8(cause_index(err.cause));
-        e.u32(id(&err.detail));
-    };
-
-    opt_col!(hosting_ip, emit_ip);
-    opt_col!(hosting_asn, emit_u32);
-    opt_col!(hosting_org, emit_u32);
-    opt_col!(hosting_org_country, emit_str);
-    opt_col!(hosting_ip_country, emit_str);
-    e.bitmap(rows, |o| o.hosting_anycast);
-
-    for obs in rows {
-        e.u16(obs.ns_names.len() as u16);
-    }
-    for obs in rows {
-        for n in &obs.ns_names {
-            e.u32(id(n));
-        }
-    }
-
-    opt_col!(dns_ip, emit_ip);
-    opt_col!(dns_asn, emit_u32);
-    opt_col!(dns_org, emit_u32);
-    opt_col!(dns_org_country, emit_str);
-    opt_col!(dns_ip_country, emit_str);
-    e.bitmap(rows, |o| o.dns_anycast);
-
-    opt_col!(ca_owner, emit_u32);
-    opt_col!(ca_owner_country, emit_str);
-
-    opt_col!(hosting_error, emit_err);
-    opt_col!(dns_error, emit_err);
-    opt_col!(ca_error, emit_err);
-    opt_col!(error, emit_str);
-
-    let sum = fnv1a(&e.buf);
-    e.u64(sum);
-    e.buf
+    let mut out = Vec::new();
+    chunk.encode(chunk_index, lo, &mut out);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -322,10 +651,13 @@ impl<'a> Dec<'a> {
     }
     fn bitmap(&mut self, rows: usize) -> Result<Vec<bool>, String> {
         let bytes = self.take(rows.div_ceil(8))?;
-        Ok((0..rows)
-            .map(|r| bytes[r / 8] & (1 << (r % 8)) != 0)
-            .collect())
+        Ok((0..rows).map(|r| bit(bytes, r)).collect())
     }
+}
+
+/// Bit `r` of an LSB-first bitmap.
+fn bit(bytes: &[u8], r: usize) -> bool {
+    bytes[r / 8] & (1 << (r % 8)) != 0
 }
 
 /// One decoded chunk: columnar access plus per-row observation
@@ -337,7 +669,9 @@ pub struct DecodedChunk {
     pub lo: usize,
     /// Rows in the chunk (`lo..lo + rows` in site order).
     pub rows: usize,
-    strings: Vec<String>,
+    /// The string table back to back; string `i` ends at `ends[i]`.
+    text: String,
+    ends: Vec<usize>,
     domain: Vec<u32>,
     /// TLD string id per row.
     pub tld: Vec<u32>,
@@ -370,7 +704,9 @@ pub struct DecodedChunk {
 impl DecodedChunk {
     /// The string behind a chunk-local id.
     pub fn str_of(&self, id: u32) -> &str {
-        &self.strings[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
     }
 
     /// Per-row layer failure causes `(hosting, dns, ca)` without
@@ -387,7 +723,7 @@ impl DecodedChunk {
     /// Reconstructs row `r` as a full [`SiteObservation`] — the exact
     /// observation that was committed (round-trip tested).
     pub fn observation(&self, r: usize) -> SiteObservation {
-        let s = |id: u32| self.strings[id as usize].clone();
+        let s = |id: u32| self.str_of(id).to_string();
         let os = |v: &Option<u32>| v.map(s);
         let err = |v: &Option<(FailureCause, u32)>| {
             v.map(|(cause, detail)| LayerError::new(cause, s(detail)))
@@ -458,11 +794,12 @@ pub(crate) fn decode_chunk(
     }
     let n_strings = d.u32()? as usize;
     // Every string carries at least its u32 length.
-    let mut strings = Vec::with_capacity(n_strings.min(d.remaining() / 4));
+    let mut ends = Vec::with_capacity(n_strings.min(d.remaining() / 4));
+    let mut text = String::new();
     for _ in 0..n_strings {
         let len = d.u32()? as usize;
-        let s = std::str::from_utf8(d.take(len)?).map_err(|e| e.to_string())?;
-        strings.push(s.to_string());
+        text.push_str(std::str::from_utf8(d.take(len)?).map_err(|e| e.to_string())?);
+        ends.push(text.len());
     }
     let sid = |id: u32| -> Result<u32, String> {
         if (id as usize) < n_strings {
@@ -472,8 +809,13 @@ pub(crate) fn decode_chunk(
         }
     };
 
-    let str_col =
-        |d: &mut Dec| -> Result<Vec<u32>, String> { (0..rows).map(|_| sid(d.u32()?)).collect() };
+    let str_col = |d: &mut Dec| -> Result<Vec<u32>, String> {
+        let mut col = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            col.push(sid(d.u32()?)?);
+        }
+        Ok(col)
+    };
     let domain = str_col(&mut d)?;
     let tld = str_col(&mut d)?;
     let language = str_col(&mut d)?;
@@ -483,11 +825,16 @@ pub(crate) fn decode_chunk(
         rows: usize,
         mut read: F,
     ) -> Result<Vec<Option<T>>, String> {
-        let present = d.bitmap(rows)?;
-        present
-            .into_iter()
-            .map(|p| if p { read(d).map(Some) } else { Ok(None) })
-            .collect()
+        let present = d.take(rows.div_ceil(8))?;
+        let mut col = Vec::with_capacity(rows);
+        for r in 0..rows {
+            col.push(if bit(present, r) {
+                Some(read(d)?)
+            } else {
+                None
+            });
+        }
+        Ok(col)
     }
     let read_ip = |d: &mut Dec| Ok(Ipv4Addr::from(d.u32()?));
     let read_u32 = |d: &mut Dec| d.u32();
@@ -543,7 +890,8 @@ pub(crate) fn decode_chunk(
         index,
         lo,
         rows,
-        strings,
+        text,
+        ends,
         domain,
         tld,
         language,
@@ -573,22 +921,17 @@ pub(crate) fn decode_chunk(
 // ---------------------------------------------------------------------------
 // Writer
 
-/// One not-yet-complete chunk's rows, held in memory until the last site
-/// commits.
-struct PartialChunk {
-    filled: usize,
-    rows: Vec<Option<SiteObservation>>,
-}
-
 /// Streaming chunk-store writer: sites commit in any order; a chunk file
 /// is encoded, written, and fsynced the moment its last site lands.
 pub struct ChunkStoreWriter {
     dir: PathBuf,
     sites: usize,
     chunk_sites: usize,
-    pending: HashMap<usize, PartialChunk>,
+    pending: HashMap<usize, ChunkRows>,
     written: Vec<bool>,
     bytes_written: u64,
+    /// Encode buffer, reused across flushes.
+    buf: Vec<u8>,
 }
 
 impl ChunkStoreWriter {
@@ -615,6 +958,7 @@ impl ChunkStoreWriter {
             pending: HashMap::new(),
             written: vec![false; chunks],
             bytes_written: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -663,6 +1007,7 @@ impl ChunkStoreWriter {
             pending: HashMap::new(),
             written,
             bytes_written: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -703,34 +1048,70 @@ impl ChunkStoreWriter {
         if self.written[c] {
             return Ok(false);
         }
-        let rows = self.chunk_rows(c);
         let lo = self.chunk_lo(c);
-        let partial = self.pending.entry(c).or_insert_with(|| PartialChunk {
-            filled: 0,
-            rows: (0..rows).map(|_| None).collect(),
-        });
-        let slot = &mut partial.rows[site - lo];
-        if slot.is_some() {
+        if !self.pending_chunk(c).add(site - lo, obs) {
             return Ok(false);
         }
-        *slot = Some(obs.clone());
-        partial.filled += 1;
-        if partial.filled == rows {
-            let partial = self.pending.remove(&c).expect("just inserted");
-            let full: Vec<SiteObservation> = partial
-                .rows
-                .into_iter()
-                .map(|r| r.expect("chunk complete"))
-                .collect();
-            let bytes = encode_chunk(c, self.chunk_lo(c), &full);
-            let path = chunk_path(&self.dir, c);
-            let mut f = File::create(&path)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-            self.bytes_written += bytes.len() as u64;
-            self.written[c] = true;
-        }
+        self.flush_if_full(c)?;
         Ok(true)
+    }
+
+    /// Commits the rows `r` of `src` — a decoded chunk of another store
+    /// over the same sites, such as the previous epoch's — for which
+    /// `keep(r)` holds, column to column: no row becomes a
+    /// [`SiteObservation`], and each of `src`'s strings is hashed at most
+    /// once. `src` must lie within one chunk of this store. Returns the
+    /// rows committed; rows already committed are skipped, as in
+    /// [`Self::commit`].
+    pub(crate) fn splice(
+        &mut self,
+        src: &DecodedChunk,
+        keep: impl Fn(usize) -> bool,
+    ) -> io::Result<usize> {
+        let (c, end) = (self.chunk_of(src.lo), src.lo + src.rows);
+        let lo = self.chunk_lo(c);
+        if src.rows == 0 || end > self.sites || end > lo + self.chunk_rows(c) {
+            return Err(bad(format!(
+                "rows {}..{end} do not lie within one chunk",
+                src.lo
+            )));
+        }
+        if self.written[c] {
+            return Ok(0);
+        }
+        let mut memo = vec![u32::MAX; src.ends.len()];
+        let chunk = self.pending_chunk(c);
+        let mut spliced = 0;
+        for s in (0..src.rows).filter(|&s| keep(s)) {
+            if chunk.splice(src.lo + s - lo, src, s, &mut memo) {
+                spliced += 1;
+            }
+        }
+        self.flush_if_full(c)?;
+        Ok(spliced)
+    }
+
+    fn pending_chunk(&mut self, c: usize) -> &mut ChunkRows {
+        let rows = self.chunk_rows(c);
+        self.pending
+            .entry(c)
+            .or_insert_with(|| ChunkRows::new(rows))
+    }
+
+    /// Encodes, writes and fsyncs chunk `c` once its last row is in.
+    fn flush_if_full(&mut self, c: usize) -> io::Result<()> {
+        if !self.pending.get(&c).is_some_and(ChunkRows::is_full) {
+            return Ok(());
+        }
+        let mut chunk = self.pending.remove(&c).expect("pending chunk");
+        self.buf.clear();
+        chunk.encode(c, self.chunk_lo(c), &mut self.buf);
+        let mut f = File::create(chunk_path(&self.dir, c))?;
+        f.write_all(&self.buf)?;
+        f.sync_data()?;
+        self.bytes_written += self.buf.len() as u64;
+        self.written[c] = true;
+        Ok(())
     }
 
     /// Adopts chunk `c` wholesale from a previous epoch's store: the file
@@ -786,10 +1167,7 @@ impl ChunkStoreWriter {
         if let Some(missing) = self.written.iter().position(|&w| !w) {
             return Err(bad(format!(
                 "store incomplete: chunk {missing} never finished ({} sites pending)",
-                self.pending
-                    .values()
-                    .map(|p| p.rows.len() - p.filled)
-                    .sum::<usize>()
+                self.pending.values().map(|p| p.missing).sum::<usize>()
             )));
         }
         // Make the directory entries themselves durable.
@@ -1452,6 +1830,145 @@ mod tests {
             bytes.extend_from_slice(&sum.to_le_bytes());
             assert_eq!(bytes.len(), 36);
             assert!(decode_chunk(&bytes, None).is_err());
+        }
+    }
+
+    /// The chunk and journal-frame bytes of a fixed seeded set, pinned as
+    /// `(length, FNV-1a)`: the encoding is a format, so any change to the
+    /// encoder must leave these bytes exactly as they are.
+    #[test]
+    fn golden_chunk_and_frame_bytes() {
+        let n = 37;
+        let all = crate::testkit::seeded_set(0x5EED_C0DE, n);
+        // The set exercises every column shape the format has.
+        let some = |f: &dyn Fn(&SiteObservation) -> bool| all.iter().any(f);
+        let both = |f: &dyn Fn(&SiteObservation) -> bool| some(f) && some(&|o| !f(o));
+        assert!(both(&|o| o.hosting_ip.is_some()) && both(&|o| o.dns_ip.is_some()));
+        assert!(both(&|o| o.hosting_asn.is_some()) && both(&|o| o.dns_asn.is_some()));
+        assert!(both(&|o| o.hosting_org.is_some()) && both(&|o| o.dns_org.is_some()));
+        assert!(both(&|o| o.hosting_org_country.is_some()));
+        assert!(both(&|o| o.hosting_ip_country.is_some()));
+        assert!(both(&|o| o.dns_org_country.is_some()));
+        assert!(both(&|o| o.dns_ip_country.is_some()));
+        assert!(both(&|o| o.hosting_anycast) && both(&|o| o.dns_anycast));
+        assert!(both(&|o| o.ca_owner.is_some()) && both(&|o| o.ca_owner_country.is_some()));
+        assert!(both(&|o| o.hosting_error.is_some()) && both(&|o| o.dns_error.is_some()));
+        assert!(both(&|o| o.ca_error.is_some()) && both(&|o| o.error.is_some()));
+        for ns in [0, 1, 3] {
+            assert!(some(&|o| o.ns_names.len() == ns), "{ns} NS names");
+        }
+        for cause in FailureCause::ALL {
+            let has = |e: &Option<LayerError>| e.as_ref().is_some_and(|e| e.cause == cause);
+            assert!(some(&|o| has(&o.hosting_error)
+                || has(&o.dns_error)
+                || has(&o.ca_error)));
+        }
+
+        // Chunks of 16 rows: two full ones and a short final one.
+        let pinned: [(usize, u64); 3] = [
+            (1348, 0xC335_6E07_2799_FA4C),
+            (1351, 0xF5D8_F5A1_9E1C_3D9B),
+            (561, 0xBBC3_6AB9_D38B_324A),
+        ];
+        let dir = tmp("golden");
+        let _ = fs::remove_dir_all(&dir);
+        let mut w = ChunkStoreWriter::create(&dir, "golden", n, 16).unwrap();
+        for i in (0..n).rev() {
+            w.commit(i, &all[i]).unwrap();
+        }
+        w.finish().unwrap();
+        for (c, &(len, sum)) in pinned.iter().enumerate() {
+            let lo = c * 16;
+            let bytes = encode_chunk(c, lo, &all[lo..(lo + 16).min(n)]);
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, sum), "chunk {c}");
+            let file = fs::read(dir.join(format!("chunk-{c:06}.col"))).unwrap();
+            assert_eq!(file, bytes, "the writer's chunk {c}");
+        }
+
+        // A journal of two frames, header included.
+        let jpath = dir.join("golden.journal");
+        let mut jw = crate::journal::JournalWriter::create(&jpath, "golden", n).unwrap();
+        jw.append(5, &all[5]).unwrap();
+        jw.append(36, &all[36]).unwrap();
+        drop(jw);
+        let bytes = fs::read(&jpath).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (453, 0xF780_55B6_E150_4264),
+            "journal"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Splicing a decoded chunk's clean rows and committing the dirty ones
+    /// writes exactly the bytes of the naive path, which materializes every
+    /// clean row as an observation and encodes the lot.
+    #[test]
+    fn splice_matches_the_materializing_oracle() {
+        let k = 16;
+        type Mask = fn(usize, usize) -> bool;
+        let masks: [(&str, Mask); 5] = [
+            ("none", |_, _| false),
+            ("all", |_, _| true),
+            ("first row", |r, _| r == 0),
+            ("last row", |r, rows| r + 1 == rows),
+            ("every other row", |r, _| r % 2 == 1),
+        ];
+        for seed in 0..4u64 {
+            // 40 sites grow to 48, so the short final chunk grows 8 -> 16.
+            let prev = crate::testkit::seeded_set(seed, 40);
+            let next = crate::testkit::seeded_set(seed ^ 0xD127, 48);
+            let src_dir = tmp(&format!("splice-src-{seed}"));
+            let dir = tmp(&format!("splice-{seed}"));
+            let _ = fs::remove_dir_all(&src_dir);
+            let mut w = ChunkStoreWriter::create(&src_dir, "t-v1", 40, k).unwrap();
+            for (i, obs) in prev.iter().enumerate() {
+                w.commit(i, obs).unwrap();
+            }
+            w.finish().unwrap();
+            let src = ChunkStore::open(&src_dir).unwrap();
+            for c in 0..src.num_chunks() {
+                let chunk = src.read_chunk(c).unwrap();
+                let lo = c * k;
+                for (name, dirty) in masks {
+                    let dirty = |r: usize| dirty(r, chunk.rows);
+                    let case = format!("seed {seed}, chunk {c}, dirty {name}");
+                    let oracle: Vec<SiteObservation> = (0..k)
+                        .map(|r| match r < chunk.rows && !dirty(r) {
+                            true => chunk.observation(r),
+                            false => next[lo + r].clone(),
+                        })
+                        .collect();
+
+                    let mut w = ChunkStoreWriter::create(&dir, "t-v2", 48, k).unwrap();
+                    let commit_dirty = |w: &mut ChunkStoreWriter| {
+                        for r in (0..k).filter(|&r| r >= chunk.rows || dirty(r)) {
+                            assert!(w.commit(lo + r, &next[lo + r]).unwrap(), "{case}");
+                        }
+                    };
+                    // Splicing first, as `measure_delta` does, and last.
+                    if seed % 2 == 1 {
+                        commit_dirty(&mut w);
+                    }
+                    let clean = (0..chunk.rows).filter(|&r| !dirty(r)).count();
+                    assert_eq!(w.splice(&chunk, |r| !dirty(r)).unwrap(), clean, "{case}");
+                    assert_eq!(w.splice(&chunk, |r| !dirty(r)).unwrap(), 0, "{case}");
+                    if seed % 2 == 0 {
+                        commit_dirty(&mut w);
+                    }
+                    assert!(w.chunk_written(c), "{case}");
+                    let bytes = fs::read(dir.join(format!("chunk-{c:06}.col"))).unwrap();
+                    assert_eq!(bytes, encode_chunk(c, lo, &oracle), "{case}");
+                }
+            }
+            // A chunk that does not fit the target's geometry or site
+            // count is refused.
+            let mut w = ChunkStoreWriter::create(&dir, "t-v2", 48, 8).unwrap();
+            assert!(w.splice(&src.read_chunk(0).unwrap(), |_| true).is_err());
+            let mut w = ChunkStoreWriter::create(&dir, "t-v2", 36, k).unwrap();
+            assert!(w.splice(&src.read_chunk(2).unwrap(), |_| true).is_err());
+            fs::remove_dir_all(&src_dir).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
