@@ -2,7 +2,8 @@
 # The canonical repo check (see DESIGN.md): tier-1 gate + lint + format.
 #
 #   ./ci.sh            build (release) + full test suite + clippy -D warnings + fmt --check
-#   ./ci.sh quick      skip the release build (debug tests + clippy + fmt only)
+#                      + rustdoc -D warnings + bench smokes and gate
+#   ./ci.sh quick      skip the release build
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,6 +30,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
+
+# Broken or private intra-doc links fail the docs build, not just warn.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Streaming-dataset smoke: every scale phase (equivalence certification,
 # resident, streaming) at toy sizes — seconds, not the full 5M-site run.

@@ -136,16 +136,7 @@ pub fn classify(ctx: &AnalysisCtx<'_>, layer: Layer) -> Classification {
         .map(|f| vec![f.usage, f.endemicity_ratio])
         .collect();
     let scaled = min_max_scale_columns(&raw);
-    // The legacy (tally-on-demand) context reproduces the pre-cube engine
-    // end to end, so it also runs the baseline untiled sweeps; both modes
-    // produce byte-identical clusterings.
-    let clustering = affinity_propagation(
-        &scaled,
-        &AffinityConfig {
-            baseline_sweeps: ctx.cube().is_none(),
-            ..AffinityConfig::default()
-        },
-    );
+    let clustering = affinity_propagation(&scaled, &AffinityConfig::default());
     let num_clusters = clustering.as_ref().map(|c| c.num_clusters()).unwrap_or(0);
 
     // Label by features (the paper labels its clusters manually; these

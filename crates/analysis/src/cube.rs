@@ -425,87 +425,137 @@ impl CubeBuilder {
 
 #[cfg(test)]
 mod tests {
-    use crate::ctx::testutil::{ctx, legacy_ctx};
+    use crate::ctx::testutil::ctx;
+    use crate::AnalysisCtx;
+    use std::collections::HashMap;
+    use webdep_core::CountDist;
+    use webdep_pipeline::SiteObservation;
     use webdep_webgen::{Layer, COUNTRIES};
 
-    /// Satellite equivalence suite: the cube must reproduce the pre-cube
-    /// tally-on-demand results *exactly* — same counts, same order, same
-    /// floats — on a seeded world, for every country and layer.
+    /// The naive oracle: a plain `HashMap` tally of `sites` by measured
+    /// owner, sorted count descending then owner ascending.
+    fn naive_tally<'o>(
+        c: &AnalysisCtx<'_>,
+        sites: impl Iterator<Item = &'o SiteObservation>,
+        layer: Layer,
+    ) -> Vec<(u32, u64)> {
+        let mut tally: HashMap<u32, u64> = HashMap::new();
+        for obs in sites {
+            if let Some(owner) = c.owner_of(obs, layer) {
+                *tally.entry(owner).or_insert(0) += 1;
+            }
+        }
+        let mut v: Vec<(u32, u64)> = tally.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v
+    }
+
+    fn naive_country(c: &AnalysisCtx<'_>, ci: usize, layer: Layer) -> Vec<(u32, u64)> {
+        naive_tally(c, c.ds.country_observations(ci), layer)
+    }
+
+    fn naive_global(c: &AnalysisCtx<'_>, layer: Layer) -> Vec<(u32, u64)> {
+        let sites =
+            c.ds.global_top
+                .iter()
+                .map(|&oi| &c.ds.observations[oi as usize]);
+        naive_tally(c, sites, layer)
+    }
+
+    fn naive_dist(counts: &[(u32, u64)]) -> Option<CountDist> {
+        CountDist::from_counts(counts.iter().map(|&(_, c)| c).collect()).ok()
+    }
+
+    /// The cube must reproduce a naive tally over the raw observations
+    /// *exactly* — same counts, same order, same floats — on a seeded
+    /// world, for every country and layer.
     #[test]
-    fn cube_reproduces_legacy_tallies_exactly() {
+    fn cube_reproduces_naive_tallies_exactly() {
         let cube = ctx();
-        let legacy = legacy_ctx();
         for layer in Layer::ALL {
             for (ci, country) in COUNTRIES.iter().enumerate() {
+                let naive = naive_country(&cube, ci, layer);
                 assert_eq!(
-                    cube.country_counts(ci, layer).as_ref(),
-                    legacy.country_counts(ci, layer).as_ref(),
+                    cube.country_counts(ci, layer),
+                    naive.as_slice(),
                     "counts mismatch: {} {layer:?}",
                     country.code
                 );
                 assert_eq!(
-                    cube.country_dist(ci, layer).map(|d| d.into_owned()),
-                    legacy.country_dist(ci, layer).map(|d| d.into_owned()),
+                    cube.country_dist(ci, layer).cloned(),
+                    naive_dist(&naive),
                     "dist mismatch: {} {layer:?}",
                     country.code
                 );
                 assert_eq!(
                     cube.country_total(ci, layer),
-                    legacy.country_total(ci, layer),
+                    naive.iter().map(|&(_, c)| c).sum::<u64>(),
                     "total mismatch: {} {layer:?}",
                     country.code
                 );
             }
+            let naive = naive_global(&cube, layer);
             assert_eq!(
-                cube.global_counts(layer).as_ref(),
-                legacy.global_counts(layer).as_ref(),
+                cube.global_counts(layer),
+                naive.as_slice(),
                 "global counts mismatch: {layer:?}"
             );
             assert_eq!(
-                cube.global_dist(layer).map(|d| d.into_owned()),
-                legacy.global_dist(layer).map(|d| d.into_owned()),
+                cube.global_dist(layer).cloned(),
+                naive_dist(&naive),
                 "global dist mismatch: {layer:?}"
             );
         }
     }
 
     #[test]
-    fn cube_reproduces_legacy_usage_matrix() {
+    fn cube_reproduces_naive_usage_matrix() {
         let cube = ctx();
-        let legacy = legacy_ctx();
         for layer in Layer::ALL {
-            // Exact f64 equality: both paths compute 100 * count / total
-            // from identical integers.
+            let mut naive: HashMap<u32, Vec<f64>> = HashMap::new();
+            for ci in 0..COUNTRIES.len() {
+                let counts = naive_country(&cube, ci, layer);
+                let total: u64 = counts.iter().map(|&(_, c)| c).sum();
+                for (owner, c) in counts {
+                    naive
+                        .entry(owner)
+                        .or_insert_with(|| vec![0.0; COUNTRIES.len()])[ci] =
+                        100.0 * c as f64 / total as f64;
+                }
+            }
+            // Exact f64 equality: both compute 100 * count / total from
+            // identical integers.
             assert_eq!(
                 cube.usage_matrix(layer),
-                legacy.usage_matrix(layer),
+                naive,
                 "usage matrix mismatch: {layer:?}"
             );
         }
     }
 
     #[test]
-    fn cube_reproduces_legacy_owner_share() {
+    fn cube_reproduces_naive_owner_share() {
         let cube = ctx();
-        let legacy = legacy_ctx();
         for layer in Layer::ALL {
             for ci in (0..COUNTRIES.len()).step_by(7) {
-                let counts = legacy.country_counts(ci, layer);
+                let counts = naive_country(&cube, ci, layer);
+                let total: u64 = counts.iter().map(|&(_, c)| c).sum();
                 // Every observed owner in the country's top ten, exactly.
-                for &(owner, _) in counts.iter().take(10) {
-                    let a = cube.owner_share(ci, layer, owner);
-                    let b = legacy.owner_share(ci, layer, owner);
+                for &(owner, c) in counts.iter().take(10) {
                     assert_eq!(
-                        a, b,
+                        cube.owner_share(ci, layer, owner),
+                        c as f64 / total as f64,
                         "share mismatch: {} {layer:?} owner {owner}",
                         COUNTRIES[ci].code
                     );
                 }
             }
-            // An owner never observed at this layer shares 0.0 both ways.
+            // An owner never observed at this layer shares 0.0.
             let unobserved = u32::MAX - 1;
+            assert!(naive_country(&cube, 0, layer)
+                .iter()
+                .all(|&(o, _)| o != unobserved));
             assert_eq!(cube.owner_share(0, layer, unobserved), 0.0);
-            assert_eq!(legacy.owner_share(0, layer, unobserved), 0.0);
         }
     }
 
@@ -698,7 +748,7 @@ mod tests {
     #[test]
     fn site_labels_tally_back_to_rows() {
         let c = ctx();
-        let cube = c.cube().unwrap();
+        let cube = c.cube();
         for layer in Layer::ALL {
             let lc = cube.layer(layer);
             for ci in (0..COUNTRIES.len()).step_by(13) {

@@ -197,14 +197,17 @@ impl ExperimentSuite {
         // country resample the per-site owner labels, all through one
         // reused scratch — the batched kernel path.
         let mut scratch = webdep_stats::BootstrapScratch::new();
-        let cis: Vec<_> = (0..COUNTRIES.len())
-            .filter_map(|ci| ctx.score_ci_scratch(ci, Layer::Hosting, 500, 0.95, 42, &mut scratch))
-            .collect();
+        let mut ci_of = |ci: usize| {
+            ctx.score_ci_abortable(ci, Layer::Hosting, 500, 0.95, 42, &mut scratch, &mut || {
+                false
+            })
+            .ok()
+            .flatten()
+        };
+        let cis: Vec<_> = (0..COUNTRIES.len()).filter_map(&mut ci_of).collect();
         let max_width = cis.iter().map(|c| c.width()).fold(0.0, f64::max);
-        let th_ci = World::country_index("TH")
-            .and_then(|i| ctx.score_ci_scratch(i, Layer::Hosting, 500, 0.95, 42, &mut scratch));
-        let ir_ci = World::country_index("IR")
-            .and_then(|i| ctx.score_ci_scratch(i, Layer::Hosting, 500, 0.95, 42, &mut scratch));
+        let th_ci = World::country_index("TH").and_then(&mut ci_of);
+        let ir_ci = World::country_index("IR").and_then(&mut ci_of);
         let separated = match (&th_ci, &ir_ci) {
             (Some(th), Some(ir)) => th.lo > ir.hi,
             _ => false,

@@ -94,8 +94,8 @@ pub fn compare(old: &AnalysisCtx<'_>, new: &AnalysisCtx<'_>) -> LongitudinalRepo
         let domains_new = country_domains(new, ci);
         deltas.push(CountryDelta {
             code: country.code,
-            s_old: centralization_score(&d_old),
-            s_new: centralization_score(&d_new),
+            s_old: centralization_score(d_old),
+            s_new: centralization_score(d_new),
             cloudflare_delta_pts: 100.0 * (cloudflare_share(new, ci) - cloudflare_share(old, ci)),
             jaccard: jaccard_index(&domains_old, &domains_new),
             us_share_delta_pts: 100.0 * (us_share(new, ci) - us_share(old, ci)),
@@ -180,7 +180,7 @@ impl Trajectory {
         let mut cf = Vec::new();
         for ci in 0..COUNTRIES.len() {
             if let Some(d) = ctx.country_dist(ci, Layer::Hosting) {
-                scores.push(centralization_score(&d));
+                scores.push(centralization_score(d));
                 cf.push(100.0 * cloudflare_share(ctx, ci));
             }
         }

@@ -1,13 +1,10 @@
-//! The analysis engine: cube build, cube-vs-legacy accessors, and the
-//! parallel affinity-propagation sweep. (The full `ExperimentSuite`
-//! before/after wall is timed by `bench-snapshot`, which writes
-//! `BENCH_analysis.json`; these benches cover the hot pieces.)
+//! The analysis engine: cube build, cube-backed accessors, and the
+//! affinity-propagation sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use webdep_analysis::centralization::layer_table;
 use webdep_analysis::AnalysisCtx;
-use webdep_bench::analysis::synthetic_points;
 use webdep_bench::fixture;
 use webdep_stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep_webgen::{Layer, World};
@@ -22,26 +19,18 @@ fn cube_build(c: &mut Criterion) {
     g.finish();
 }
 
-fn accessors_cube_vs_legacy(c: &mut Criterion) {
+fn accessors(c: &mut Criterion) {
     let (world, ds) = fixture();
-    let cube = AnalysisCtx::new(world, ds);
-    let legacy = AnalysisCtx::new_legacy(world, ds);
+    let ctx = AnalysisCtx::new(world, ds);
     let us = World::country_index("US").unwrap();
-    let owner = cube.country_counts(us, Layer::Hosting)[0].0;
+    let owner = ctx.country_counts(us, Layer::Hosting)[0].0;
 
     let mut g = c.benchmark_group("owner_share_150_countries");
     g.sample_size(10);
     g.bench_function("cube", |b| {
         b.iter(|| {
             for ci in 0..150 {
-                black_box(cube.owner_share(ci, Layer::Hosting, owner));
-            }
-        })
-    });
-    g.bench_function("legacy", |b| {
-        b.iter(|| {
-            for ci in 0..150 {
-                black_box(legacy.owner_share(ci, Layer::Hosting, owner));
+                black_box(ctx.owner_share(ci, Layer::Hosting, owner));
             }
         })
     });
@@ -50,39 +39,39 @@ fn accessors_cube_vs_legacy(c: &mut Criterion) {
     let mut g = c.benchmark_group("layer_table_hosting");
     g.sample_size(10);
     g.bench_function("cube", |b| {
-        b.iter(|| black_box(layer_table(&cube, Layer::Hosting)))
-    });
-    g.bench_function("legacy", |b| {
-        b.iter(|| black_box(layer_table(&legacy, Layer::Hosting)))
+        b.iter(|| black_box(layer_table(&ctx, Layer::Hosting)))
     });
     g.finish();
+}
+
+/// Deterministic synthetic feature vectors (three loose Gaussian-ish
+/// blobs via xorshift), matching the shape classify feeds the clusterer.
+fn synthetic_points(n: usize, dims: usize) -> Vec<Vec<f64>> {
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|i| {
+            let center = (i % 3) as f64 * 2.5;
+            (0..dims).map(|_| center + next()).collect()
+        })
+        .collect()
 }
 
 fn affinity_sweeps(c: &mut Criterion) {
     let points = synthetic_points(512, 4);
+    let config = AffinityConfig::default();
     let mut g = c.benchmark_group("affinity_512pts");
     g.sample_size(10);
-    for (name, threads, baseline_sweeps) in [
-        ("baseline", 1usize, true),
-        ("tiled_serial", 1, false),
-        ("tiled_parallel", 0, false),
-    ] {
-        let config = AffinityConfig {
-            threads,
-            baseline_sweeps,
-            ..AffinityConfig::default()
-        };
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(affinity_propagation(&points, &config)))
-        });
-    }
+    g.bench_function("tiled_serial", |b| {
+        b.iter(|| black_box(affinity_propagation(&points, &config)))
+    });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    cube_build,
-    accessors_cube_vs_legacy,
-    affinity_sweeps
-);
+criterion_group!(benches, cube_build, accessors, affinity_sweeps);
 criterion_main!(benches);

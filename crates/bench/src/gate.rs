@@ -314,14 +314,13 @@ fn gate_world_config(smoke: bool) -> WorldConfig {
     }
 }
 
-/// The deterministic pipeline phase: one worker, fixed seed, shared
-/// cache on — query and cache-hit counts must reproduce exactly.
+/// The deterministic pipeline phase: one worker, fixed seed — query and
+/// cache-hit counts must reproduce exactly.
 fn pipeline_phase(smoke: bool) -> (Arc<World>, MeasuredDataset, Vec<Metric>) {
     let world = World::generate(gate_world_config(smoke));
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let config = PipelineConfig {
         workers: 1,
-        shared_cache: true,
         ..PipelineConfig::default()
     };
     let t0 = Instant::now();

@@ -9,7 +9,6 @@ use webdep_analysis::AnalysisCtx;
 use webdep_pipeline::{measure, MeasuredDataset, PipelineConfig};
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
-pub mod analysis;
 pub mod evolve;
 pub mod faults;
 pub mod gate;
@@ -134,9 +133,6 @@ pub fn ctx() -> AnalysisCtx<'static> {
 mod tests {
     use super::*;
 
-    /// Tier-1 smoke for the snapshot harness: a cube build plus a full
-    /// suite run over the shared world, through the same `time_suite` the
-    /// `bench-snapshot` binary times, and a (tiny) affinity sweep check.
     /// A summary with commas must land as a single CSV field: commas are
     /// sanitized to `;`, never written through (a raw comma would shift
     /// the columns for every later `BENCH_history.csv` reader).
@@ -161,17 +157,5 @@ mod tests {
         }
         assert!(lines[1].ends_with("serve,p50 12us; p99 80us; 9 rps"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_harness_runs_cube_suite() {
-        let (world, ds) = fixture();
-        let t = analysis::time_suite(world, ds, false);
-        assert_eq!(t.passed, t.total, "{}/{} experiments", t.passed, t.total);
-        assert!(t.ctx_build_ms >= 0.0 && t.suite_wall_ms > 0.0);
-
-        let a = analysis::time_affinity(160, 2);
-        assert!(a.identical, "parallel affinity diverged from serial");
-        assert!(a.sweeps > 0);
     }
 }

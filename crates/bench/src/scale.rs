@@ -137,7 +137,7 @@ pub fn cube_report(ctx: &AnalysisCtx<'_>) -> String {
             let coverage = ctx.country_coverage(ci, layer);
             let s = ctx
                 .country_dist(ci, layer)
-                .map(|d| centralization_score(&d))
+                .map(centralization_score)
                 .unwrap_or(-1.0);
             writeln!(
                 out,

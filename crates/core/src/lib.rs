@@ -77,10 +77,8 @@ pub use transport::TransportWorkspace;
 
 /// Convenience re-exports for the common entry points.
 pub mod prelude {
-    #[allow(deprecated)]
     pub use crate::centralization::{
-        centralization_score, centralization_score_counts, centralization_score_counts_ref, hhi,
-        ConcentrationBand,
+        centralization_score, centralization_score_counts_ref, hhi, ConcentrationBand,
     };
     pub use crate::dist::CountDist;
     pub use crate::emd::{emd_to_decentralized, DecentralizedReference};

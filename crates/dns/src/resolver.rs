@@ -26,12 +26,6 @@ pub struct ResolverConfig {
     pub max_depth: u32,
     /// Maximum CNAME chain length per resolution.
     pub max_cnames: u32,
-    /// Cache a referral's authority NS set and glue A records as answers,
-    /// so later `NS`/`A` queries for them skip the wire entirely. Real
-    /// resolvers keep this delegation data too; disabling it reproduces
-    /// the strictly query-driven behaviour (one wire round trip per
-    /// record set ever returned).
-    pub cache_referrals: bool,
     /// Total wall-clock cap for one top-level resolution, spanning every
     /// rotation round, backoff, referral, and glueless-NS/CNAME recursion
     /// it triggers. Without it, rotation + exponential backoff bounds each
@@ -49,7 +43,6 @@ impl Default for ResolverConfig {
             retries: 2,
             max_depth: 16,
             max_cnames: 8,
-            cache_referrals: true,
             site_deadline: None,
         }
     }
@@ -476,9 +469,7 @@ impl IterativeResolver {
                 return Err(ResolveError::ServFail);
             }
             pending_ns = reserve;
-            if self.stub.config.cache_referrals {
-                self.cache_referral_data(&zone, &ns_names, &resp);
-            }
+            self.cache_referral_data(&zone, &ns_names, &resp);
             if let Some(shared) = &self.shared {
                 shared.put_zone(zone.clone(), glue.clone());
             }

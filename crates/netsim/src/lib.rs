@@ -44,4 +44,4 @@ pub use fault::{FaultKind, FaultPlan, FaultedReply};
 pub use latency::LatencyModel;
 pub use network::{Endpoint, NetConfig, NetStats, Network, Region, ResponderFn};
 pub use packet::Datagram;
-pub use shared::{ResponderSet, SharedEndpoint};
+pub use shared::ResponderSet;

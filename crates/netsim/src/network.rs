@@ -270,22 +270,11 @@ impl Network {
         })
     }
 
-    /// Binds an address onto an existing channel (shared-endpoint support).
+    /// Binds an address onto an inline service function (responder-set
+    /// support): datagrams to it are answered on the sender's thread.
     ///
     /// Unicast bindings conflict with any existing binding at the address;
     /// anycast bindings stack per region like [`Network::bind_anycast`].
-    pub(crate) fn bind_tx(
-        &self,
-        addr: SockAddr,
-        region: Region,
-        tx: Sender<Datagram>,
-        anycast: bool,
-    ) -> Result<(), NetError> {
-        self.bind_sink(addr, region, Sink::Queue(tx), anycast)
-    }
-
-    /// Binds an address onto an inline service function (responder-set
-    /// support): datagrams to it are answered on the sender's thread.
     pub(crate) fn bind_responder(
         &self,
         addr: SockAddr,
@@ -293,16 +282,7 @@ impl Network {
         f: Arc<ResponderFn>,
         anycast: bool,
     ) -> Result<(), NetError> {
-        self.bind_sink(addr, region, Sink::Inline(f), anycast)
-    }
-
-    fn bind_sink(
-        &self,
-        addr: SockAddr,
-        region: Region,
-        sink: Sink,
-        anycast: bool,
-    ) -> Result<(), NetError> {
+        let sink = Sink::Inline(f);
         let shard = self.shard(&addr);
         if anycast {
             if shard.unicast.read().contains_key(&addr) {
@@ -326,18 +306,7 @@ impl Network {
         }
     }
 
-    /// Raw send for shared endpoints.
-    pub(crate) fn send_from_raw(
-        &self,
-        src: SockAddr,
-        src_region: Region,
-        dst: SockAddr,
-        payload: Bytes,
-    ) -> Result<(), NetError> {
-        self.send_from(src, src_region, dst, payload)
-    }
-
-    /// Raw unbind for shared endpoints.
+    /// Raw unbind for responder sets.
     pub(crate) fn unbind_raw(&self, addr: SockAddr, anycast: bool, region: Region) {
         self.unbind(addr, anycast, region);
     }

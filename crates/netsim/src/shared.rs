@@ -1,31 +1,24 @@
-//! Shared endpoints: many addresses, one receive queue — and responder
-//! sets: many addresses, one inline service function.
+//! Responder sets: many addresses, one inline service function.
 //!
 //! Deploying a synthetic internet with tens of thousands of provider IPs
-//! cannot afford a thread per address. A [`SharedEndpoint`] attaches many
-//! `ip:port` bindings (unicast or anycast) to a single channel, so one
-//! "rack" thread can serve a whole shelf of providers — the simulation
-//! analogue of shared hosting. Replies are sent *from* the address the
-//! query was addressed to, so clients still see a well-behaved peer.
-//!
-//! A [`ResponderSet`] goes one step further for *stateless* services: the
-//! service function runs inline on the sender's thread, so a round trip is
-//! a function call rather than two cross-thread channel hops. On a machine
-//! with few cores this is the difference between a query costing two
-//! context switches and costing none.
+//! cannot afford a thread per address. A [`ResponderSet`] attaches many
+//! `ip:port` bindings (unicast or anycast) to one *stateless* service
+//! function — the simulation analogue of shared hosting — and runs it
+//! inline on the sender's thread, so a round trip is a function call
+//! rather than two cross-thread channel hops. Replies are sent *from* the
+//! address the query was addressed to, so clients still see a
+//! well-behaved peer.
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
 use crate::network::{Network, Region, ResponderFn};
 use crate::packet::Datagram;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Lock stripes for the attached-address table. The reply path only reads,
 /// so with `RwLock` stripes concurrent repliers never contend at all.
@@ -37,98 +30,12 @@ fn stripe_index(addr: &SockAddr) -> usize {
     (h.finish() as usize) % NUM_STRIPES
 }
 
-/// A receive queue shared by many bound addresses.
-pub struct SharedEndpoint {
-    net: Network,
-    tx: Sender<Datagram>,
-    rx: Receiver<Datagram>,
-    /// Attached addresses and their regions (anycast flag kept for unbind),
-    /// striped by address hash.
-    attached: [RwLock<HashMap<SockAddr, (Region, bool)>>; NUM_STRIPES],
-}
-
-impl std::fmt::Debug for SharedEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedEndpoint")
-            .field("attached", &self.num_attached())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SharedEndpoint {
-    /// Creates an empty shared endpoint on `net`.
-    pub fn new(net: &Network) -> Self {
-        let (tx, rx) = unbounded();
-        SharedEndpoint {
-            net: net.clone(),
-            tx,
-            rx,
-            attached: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        }
-    }
-
-    fn stripe(&self, addr: &SockAddr) -> &RwLock<HashMap<SockAddr, (Region, bool)>> {
-        &self.attached[stripe_index(addr)]
-    }
-
-    /// Attaches a unicast address; datagrams to it arrive on this queue.
-    pub fn attach(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<(), NetError> {
-        let addr = SockAddr::new(ip, port);
-        self.net.bind_tx(addr, region, self.tx.clone(), false)?;
-        self.stripe(&addr).write().insert(addr, (region, false));
-        Ok(())
-    }
-
-    /// Attaches one anycast site of an address.
-    pub fn attach_anycast(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<(), NetError> {
-        let addr = SockAddr::new(ip, port);
-        self.net.bind_tx(addr, region, self.tx.clone(), true)?;
-        self.stripe(&addr).write().insert(addr, (region, true));
-        Ok(())
-    }
-
-    /// Number of attached addresses.
-    pub fn num_attached(&self) -> usize {
-        self.attached.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Blocks for the next datagram addressed to any attached address.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
-    }
-
-    /// Sends a reply from `src` (which must be attached) to `dst`.
-    pub fn send_from(&self, src: SockAddr, dst: SockAddr, payload: Bytes) -> Result<(), NetError> {
-        let region = {
-            let attached = self.stripe(&src).read();
-            let Some(&(region, _)) = attached.get(&src) else {
-                return Err(NetError::Unreachable(src));
-            };
-            region
-        };
-        self.net.send_from_raw(src, region, dst, payload)
-    }
-}
-
-impl Drop for SharedEndpoint {
-    fn drop(&mut self) {
-        for stripe in &self.attached {
-            for (addr, (region, anycast)) in stripe.write().drain() {
-                self.net.unbind_raw(addr, anycast, region);
-            }
-        }
-    }
-}
-
 /// Many addresses served by one inline function, zero threads.
 ///
 /// The function must be stateless (or internally synchronized): it is
 /// called concurrently from every sending thread. Replies it returns are
 /// sent from the queried address through the normal network path, so loss,
-/// latency accounting and anycast behave exactly as with a threaded rack.
+/// latency accounting and anycast behave exactly as for a bound endpoint.
 pub struct ResponderSet {
     net: Network,
     f: Arc<ResponderFn>,
@@ -206,100 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn many_addresses_one_queue() {
-        let net = Network::new(NetConfig::default());
-        let rack = SharedEndpoint::new(&net);
-        for i in 1..=5u8 {
-            rack.attach(Ipv4Addr::new(10, 0, 0, i), 53, Region::EUROPE)
-                .unwrap();
-        }
-        assert_eq!(rack.num_attached(), 5);
-
-        let client = net.bind(ip("10.9.9.9"), 1, Region::EUROPE).unwrap();
-        for i in 1..=5u8 {
-            client
-                .send(
-                    SockAddr::new(Ipv4Addr::new(10, 0, 0, i), 53),
-                    Bytes::copy_from_slice(&[i]),
-                )
-                .unwrap();
-        }
-        let mut seen = Vec::new();
-        for _ in 0..5 {
-            let d = rack.recv_timeout(Duration::from_secs(1)).unwrap();
-            assert_eq!(d.dst.ip.octets()[3], d.payload[0]);
-            seen.push(d.dst.ip);
-        }
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
-    fn replies_come_from_queried_address() {
-        let net = Network::new(NetConfig::default());
-        let rack = SharedEndpoint::new(&net);
-        rack.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
-        let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
-        let dst = SockAddr::new(ip("10.0.0.7"), 53);
-        client.send(dst, Bytes::from_static(b"q")).unwrap();
-        let q = rack.recv_timeout(Duration::from_secs(1)).unwrap();
-        rack.send_from(q.dst, q.src, Bytes::from_static(b"a"))
-            .unwrap();
-        let reply = client.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(reply.src, dst);
-    }
-
-    #[test]
-    fn send_from_unattached_rejected() {
-        let net = Network::new(NetConfig::default());
-        let rack = SharedEndpoint::new(&net);
-        let err = rack
-            .send_from(
-                SockAddr::new(ip("10.0.0.1"), 53),
-                SockAddr::new(ip("10.9.9.9"), 1),
-                Bytes::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, NetError::Unreachable(_)));
-    }
-
-    #[test]
-    fn anycast_attachment_routes_regionally() {
-        let net = Network::new(NetConfig::default());
-        let rack_eu = SharedEndpoint::new(&net);
-        let rack_as = SharedEndpoint::new(&net);
-        rack_eu
-            .attach_anycast(ip("1.1.1.1"), 53, Region::EUROPE)
-            .unwrap();
-        rack_as
-            .attach_anycast(ip("1.1.1.1"), 53, Region::ASIA)
-            .unwrap();
-
-        let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
-        client
-            .send(SockAddr::new(ip("1.1.1.1"), 53), Bytes::from_static(b"x"))
-            .unwrap();
-        assert!(rack_as.recv_timeout(Duration::from_millis(200)).is_ok());
-        assert!(rack_eu.recv_timeout(Duration::from_millis(50)).is_err());
-    }
-
-    #[test]
-    fn drop_detaches_everything() {
-        let net = Network::new(NetConfig::default());
-        {
-            let rack = SharedEndpoint::new(&net);
-            rack.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
-        }
-        // Address is free again.
-        let rack2 = SharedEndpoint::new(&net);
-        assert!(rack2.attach(ip("10.0.0.7"), 53, Region::ASIA).is_ok());
-    }
-
-    #[test]
     fn conflicts_detected() {
         let net = Network::new(NetConfig::default());
-        let rack = SharedEndpoint::new(&net);
-        rack.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
-        assert!(rack.attach(ip("10.0.0.7"), 53, Region::ASIA).is_err());
+        let set = ResponderSet::new(&net, |_: &Datagram| None);
+        set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
+        assert!(set.attach(ip("10.0.0.7"), 53, Region::ASIA).is_err());
     }
 
     #[test]

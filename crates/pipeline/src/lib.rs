@@ -32,7 +32,6 @@ pub use delta::{measure_delta, DeltaStats};
 pub use journal::JournalWriter;
 pub use run::{
     measure, measure_streamed, measure_with_stats, resume_streamed, MeasureStats, PipelineConfig,
-    Scheduling,
 };
 pub use store::{
     ChunkStore, ChunkStoreWriter, CompactStats, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES,

@@ -1,19 +1,12 @@
 //! The measurement run: parallel resolve + scan + enrich, under
 //! supervision.
 //!
-//! Two scheduler/caching knobs govern how the run scales:
-//!
-//! * [`Scheduling::Dynamic`] (the default) feeds workers from a shared
-//!   atomic cursor in small batches, so a worker that lands on slow sites
-//!   does not leave the rest of its statically assigned shard idle.
-//!   [`Scheduling::Static`] keeps the original contiguous-shard split.
-//! * `shared_cache` layers one process-wide [`SharedDnsCache`] under every
-//!   worker's private resolver cache, so the delegation tier (root, TLD
-//!   referrals) is walked roughly once per run instead of once per worker.
-//!
-//! Both knobs change only *when and where* work happens, never the result:
-//! `measure` returns a byte-identical dataset for any worker count,
-//! scheduling mode, and cache setting.
+//! Workers pull small batches from a shared atomic cursor, so a worker
+//! that lands on slow sites does not hold up the rest. One run-wide
+//! [`SharedDnsCache`] sits under every worker's private resolver cache,
+//! so the delegation tier (root, TLD referrals) is walked roughly once
+//! per run instead of once per worker. Neither changes the result:
+//! `measure` returns a byte-identical dataset for any worker count.
 //!
 //! On top of the scheduler sits the supervision layer (see
 //! [`crate::supervisor`]): every site is measured under `catch_unwind`
@@ -48,16 +41,6 @@ use webdep_geodb::{AnycastSet, AsOrgDb, CaOwnerDb, GeoDb, PrefixTable};
 use webdep_tls::scanner::{Scanner, ScannerConfig};
 use webdep_webgen::{Continent, DeployedWorld, World};
 
-/// How sites are handed to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// Pre-split the site list into one contiguous shard per worker.
-    Static,
-    /// Workers pull fixed-size batches from a shared atomic cursor.
-    #[default]
-    Dynamic,
-}
-
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -70,10 +53,6 @@ pub struct PipelineConfig {
     pub resolver: ResolverConfig,
     /// Scanner tuning.
     pub scanner: ScannerConfig,
-    /// Work distribution strategy.
-    pub scheduling: Scheduling,
-    /// Share one delegation/answer cache across all workers.
-    pub shared_cache: bool,
     /// Supervision tuning: watchdog deadline, poison threshold, respawn
     /// budget.
     pub supervisor: SupervisorConfig,
@@ -89,8 +68,6 @@ impl Default for PipelineConfig {
             vantage: Continent::NorthAmerica,
             resolver: ResolverConfig::default(),
             scanner: ScannerConfig::default(),
-            scheduling: Scheduling::Dynamic,
-            shared_cache: true,
             supervisor: SupervisorConfig::default(),
             chaos: None,
         }
@@ -118,8 +95,7 @@ pub struct MeasureStats {
     /// workers that were lost mid-run.
     pub worker_busy: Vec<Duration>,
     /// Largest fraction of the wall clock any worker spent idle, i.e. done
-    /// but waiting for stragglers. Static sharding drives this up; the
-    /// dynamic queue keeps it near zero.
+    /// but waiting for stragglers.
     pub peak_idle_fraction: f64,
     /// DNS replies discarded as undecodable (truncated/corrupt datagrams),
     /// summed over all workers.
@@ -370,15 +346,8 @@ pub(crate) fn run_supervised(
     let completed = AtomicUsize::new(resumed);
     let collector = Mutex::new(sink);
 
-    let shared = config.shared_cache.then(|| Arc::new(SharedDnsCache::new()));
-    // Static mode assigns one contiguous shard per initial worker up
-    // front, so the queue's fresh cursor is left empty; requeues flow
-    // through it in both modes.
-    let queue = match config.scheduling {
-        Scheduling::Dynamic => WorkQueue::new(n, DYNAMIC_BATCH),
-        Scheduling::Static => WorkQueue::new(0, DYNAMIC_BATCH),
-    };
-    let static_chunk = n.div_ceil(workers);
+    let shared = Arc::new(SharedDnsCache::new());
+    let queue = WorkQueue::new(n, DYNAMIC_BATCH);
 
     let epoch = Instant::now();
     let mut sup_stats = SupervisionStats {
@@ -393,9 +362,9 @@ pub(crate) fn run_supervised(
         let done_at_start: &[bool] = &done_at_start;
         let chaos = &chaos;
 
-        let spawn_worker = |initial: Option<Batch>, slot: Arc<WorkerSlot>| {
+        let spawn_worker = |slot: Arc<WorkerSlot>| {
             let cfg = config.clone();
-            let shared = shared.clone();
+            let shared = Arc::clone(&shared);
             scope.spawn(move |_| {
                 worker_main(
                     world,
@@ -410,7 +379,6 @@ pub(crate) fn run_supervised(
                     &slot,
                     epoch,
                     n,
-                    initial,
                 )
             })
         };
@@ -419,21 +387,13 @@ pub(crate) fn run_supervised(
         let mut handles = Vec::new();
         let mut lost: Vec<bool> = Vec::new();
         let mut reports: Vec<WorkerReport> = Vec::new();
-        for wi in 0..workers {
-            let initial = match config.scheduling {
-                Scheduling::Static => {
-                    let lo = (wi * static_chunk).min(n);
-                    let hi = (lo + static_chunk).min(n);
-                    (lo < hi).then(|| Batch::new(lo, hi))
-                }
-                Scheduling::Dynamic => None,
-            };
+        for _ in 0..workers {
             let slot = Arc::new(WorkerSlot::default());
             slot.heartbeat
                 .store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
             worker_slots.push(Arc::clone(&slot));
             lost.push(false);
-            handles.push(Some(spawn_worker(initial, slot)));
+            handles.push(Some(spawn_worker(slot)));
         }
 
         let mut respawns = 0usize;
@@ -502,7 +462,7 @@ pub(crate) fn run_supervised(
                     .store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
                 worker_slots.push(Arc::clone(&slot));
                 lost.push(false);
-                handles.push(Some(spawn_worker(None, slot)));
+                handles.push(Some(spawn_worker(slot)));
             }
             // Deadlock guard: every worker is lost and the respawn budget
             // is spent, so nothing can drain the queue — fail the
@@ -661,7 +621,7 @@ fn worker_main(
     world: &World,
     dep: &DeployedWorld,
     cfg: &PipelineConfig,
-    shared: Option<Arc<SharedDnsCache>>,
+    shared: Arc<SharedDnsCache>,
     chaos: &ChaosPlan,
     queue: &WorkQueue,
     collector: &Mutex<Sink>,
@@ -670,21 +630,15 @@ fn worker_main(
     slot: &WorkerSlot,
     epoch: Instant,
     n: usize,
-    mut initial: Option<Batch>,
 ) -> WorkerReport {
     let worker_start = Instant::now();
-    let resolver_ep = dep.vantage(cfg.vantage);
-    let scanner_ep = dep.vantage(cfg.vantage);
-    let mut resolver = match shared {
-        Some(cache) => IterativeResolver::with_shared_cache(
-            resolver_ep,
-            dep.roots.clone(),
-            cfg.resolver.clone(),
-            cache,
-        ),
-        None => IterativeResolver::new(resolver_ep, dep.roots.clone(), cfg.resolver.clone()),
-    };
-    let mut scanner = Scanner::new(scanner_ep, cfg.scanner.clone());
+    let mut resolver = IterativeResolver::with_shared_cache(
+        dep.vantage(cfg.vantage),
+        dep.roots.clone(),
+        cfg.resolver.clone(),
+        shared,
+    );
+    let mut scanner = Scanner::new(dep.vantage(cfg.vantage), cfg.scanner.clone());
     let mut panics_isolated = 0u64;
 
     let report = |resolver: &IterativeResolver, scanner: &Scanner, panics: u64| {
@@ -705,10 +659,7 @@ fn worker_main(
         if slot.is_canceled() || completed.load(Ordering::Acquire) >= n {
             break;
         }
-        let batch = initial
-            .take()
-            .or_else(|| queue.claim_requeued())
-            .or_else(|| queue.claim_fresh());
+        let batch = queue.claim_requeued().or_else(|| queue.claim_fresh());
         let Some(batch) = batch else {
             // Nothing claimable right now, but a requeue may still arrive.
             std::thread::sleep(Duration::from_millis(1));

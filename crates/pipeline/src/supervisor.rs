@@ -25,7 +25,6 @@
 //! worker-kill decisions are pure functions of `(seed, site, attempt)`,
 //! never of wall-clock or thread identity, so chaos runs are reproducible.
 
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -324,11 +323,6 @@ impl ChaosPlan {
         attempt == 0 && self.hang_sites.contains(&site)
     }
 }
-
-/// Suppress an unused-import warning when the crate is built without the
-/// netsim doc links resolving (doc-only use).
-#[allow(unused)]
-fn _doc_anchor(_ip: Ipv4Addr) {}
 
 #[cfg(test)]
 mod tests {

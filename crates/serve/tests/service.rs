@@ -216,7 +216,7 @@ fn served_answers_match_one_shot_analysis() {
                 ),
             );
             let dist = ctx.country_dist(ci, layer).expect("measured");
-            let s = centralization_score(&dist);
+            let s = centralization_score(dist);
             assert_eq!(f64_of(&body["s"]), s, "{code}/{layer:?}");
             assert_eq!(
                 body["band"].as_str().unwrap(),
@@ -317,7 +317,7 @@ fn served_answers_match_one_shot_analysis() {
     for (panel, layer) in body["layers"].as_array().unwrap().iter().zip(Layer::ALL) {
         assert_eq!(panel["layer"].as_str().unwrap(), layer.name());
         let dist = ctx.country_dist(us, layer).expect("measured");
-        assert_eq!(f64_of(&panel["s"]), centralization_score(&dist));
+        assert_eq!(f64_of(&panel["s"]), centralization_score(dist));
         assert_eq!(
             f64_of(&panel["insularity"]),
             country_insularity(&ctx, us, layer).unwrap()

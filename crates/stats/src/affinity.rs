@@ -9,6 +9,12 @@
 //! This implementation uses the standard negative squared Euclidean
 //! similarity, median preference by default, damped message updates, and
 //! stops when the exemplar set is stable for `convergence_iter` sweeps.
+//!
+//! The sweeps run serially over cache tiles: both phases read the
+//! matrices as contiguous runs instead of stride-`n` gathers, yet perform
+//! the same floating-point operations in the same per-element order as
+//! the textbook row/column loops, so the [`Clustering`] is bit-identical
+//! to theirs (the test module keeps those loops as its oracle).
 
 use serde::{Deserialize, Serialize};
 
@@ -25,16 +31,6 @@ pub struct AffinityConfig {
     /// similarity, the classic default that yields a moderate number of
     /// clusters.
     pub preference: Option<f64>,
-    /// Threads for the message-passing sweeps; `0` picks
-    /// [`crate::par::default_threads`]. Results are byte-identical at any
-    /// thread count (each row/column is updated serially by one thread).
-    pub threads: usize,
-    /// Run the original untiled sweeps instead of the cache-tiled ones.
-    /// Kept as the measured "before" for benchmarks; the tiled sweeps
-    /// perform the identical floating-point operations in the identical
-    /// per-element order, so both modes produce byte-identical
-    /// [`Clustering`]s (pinned by tests).
-    pub baseline_sweeps: bool,
 }
 
 impl Default for AffinityConfig {
@@ -44,40 +40,8 @@ impl Default for AffinityConfig {
             max_iter: 400,
             convergence_iter: 20,
             preference: None,
-            threads: 0,
-            baseline_sweeps: false,
         }
     }
-}
-
-/// Below this point count a sweep is cheaper than spawning threads
-/// (~100µs of flops vs ~8 scoped spawns per phase), so the sweeps run
-/// inline. Parallel and serial paths are byte-identical either way.
-const PAR_MIN_POINTS: usize = 384;
-
-/// Applies `f` to each `n`-wide row of `m` (row index, row slice), fanning
-/// contiguous row blocks across scoped threads. Every row is processed
-/// serially by exactly one thread, so the result is byte-identical to the
-/// `threads == 1` loop no matter how blocks land.
-fn for_each_row(m: &mut [f64], n: usize, threads: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-    let rows = m.len() / n;
-    if threads <= 1 || rows <= 1 {
-        for (i, row) in m.chunks_mut(n).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let block = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (b, chunk) in m.chunks_mut(block * n).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, row) in chunk.chunks_mut(n).enumerate() {
-                    f(b * block + j, row);
-                }
-            });
-        }
-    });
 }
 
 /// Rows per cache tile. One tile of `s` touches `TILE_ROWS` distinct
@@ -85,36 +49,10 @@ fn for_each_row(m: &mut [f64], n: usize, threads: usize, f: impl Fn(usize, &mut 
 /// sweeps turn both phases' stride-`n` gathers into streaming passes.
 const TILE_ROWS: usize = 64;
 
-/// Applies `f` to contiguous [`TILE_ROWS`]-row tiles of `m` (first row
-/// index, tile slice), distributing tile runs across scoped threads. Tile
-/// boundaries never change any value — each matrix element is computed
-/// independently from the previous sweep's state — so partitioning is
-/// purely a cache/parallelism decision.
-fn for_each_tile(m: &mut [f64], n: usize, threads: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-    let mut tiles: Vec<(usize, &mut [f64])> = m
-        .chunks_mut(TILE_ROWS * n)
-        .enumerate()
-        .map(|(t, chunk)| (t * TILE_ROWS, chunk))
-        .collect();
-    if threads <= 1 || tiles.len() <= 1 {
-        for (row0, tile) in tiles {
-            f(row0, tile);
-        }
-        return;
-    }
-    let per = tiles.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        while !tiles.is_empty() {
-            let batch: Vec<_> = tiles.drain(..per.min(tiles.len())).collect();
-            let f = &f;
-            scope.spawn(move || {
-                for (row0, tile) in batch {
-                    f(row0, tile);
-                }
-            });
-        }
-    });
-}
+/// One message-passing sweep over `n` points with damping `lam`: updates
+/// the responsibilities `r` (row-major) from the availabilities `a_t`
+/// (column-major) and the similarities `s`, then `a_t` from the new `r`.
+type Sweep = fn(r: &mut [f64], a_t: &mut [f64], s: &[f64], n: usize, lam: f64);
 
 /// Result of a clustering run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -171,6 +109,12 @@ fn similarity(a: &[f64], b: &[f64]) -> f64 {
 /// itself. Memory is `O(n^2)`; intended for up to a few thousand points
 /// (cluster the provider universe, not the website universe).
 pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Option<Clustering> {
+    propagate(points, config, tiled_sweep)
+}
+
+/// [`affinity_propagation`] with the sweep as a parameter, so the tests
+/// can run the textbook loops through the same driver.
+fn propagate(points: &[Vec<f64>], config: &AffinityConfig, sweep: Sweep) -> Option<Clustering> {
     let n = points.len();
     if n == 0 {
         return None;
@@ -230,20 +174,12 @@ pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Opt
     }
 
     // `r` is row-major (r(i,k) = r[i*n+k]); availabilities are stored
-    // column-major (a(i,k) = a_t[k*n+i]) so BOTH phases hand contiguous
-    // `chunks_mut` blocks to worker threads: the responsibility phase owns
-    // rows of `r`, the availability phase owns columns of `a` (= rows of
-    // `a_t`). The diagonal lands at index `k*n+k` in either layout.
+    // column-major (a(i,k) = a_t[k*n+i]) so BOTH phases update contiguous
+    // blocks: the responsibility phase walks rows of `r`, the availability
+    // phase columns of `a` (= rows of `a_t`). The diagonal lands at index
+    // `k*n+k` in either layout.
     let mut r = vec![0.0f64; n * n];
     let mut a_t = vec![0.0f64; n * n];
-    let lam = config.damping;
-    // `threads == 0` (auto) stays serial below the spawn-amortization
-    // threshold; an explicit thread count is always honored.
-    let threads = match config.threads {
-        0 if n < PAR_MIN_POINTS => 1,
-        0 => crate::par::default_threads(),
-        t => t,
-    };
     let mut stable_sweeps = 0;
     let mut last_exemplars: Vec<usize> = Vec::new();
     let mut iterations = 0;
@@ -251,174 +187,7 @@ pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Opt
 
     for it in 0..config.max_iter {
         iterations = it + 1;
-        // Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
-        // Rows are independent given `a_t`; each thread updates whole rows.
-        if config.baseline_sweeps {
-            let a_t = &a_t;
-            let s = &s;
-            for_each_row(&mut r, n, threads, |i, r_row| {
-                // Find top-2 of a(i,k') + s(i,k').
-                let mut best = f64::NEG_INFINITY;
-                let mut second = f64::NEG_INFINITY;
-                let mut best_k = usize::MAX;
-                for k in 0..n {
-                    let v = a_t[k * n + i] + s[i * n + k];
-                    if v > best {
-                        second = best;
-                        best = v;
-                        best_k = k;
-                    } else if v > second {
-                        second = v;
-                    }
-                }
-                for (k, rv) in r_row.iter_mut().enumerate() {
-                    let max_other = if k == best_k { second } else { best };
-                    let new_r = s[i * n + k] - max_other;
-                    *rv = lam * *rv + (1.0 - lam) * new_r;
-                }
-            });
-        } else {
-            // Tiled: for each (row-tile, k-tile) pair, first transpose the
-            // tile of `a_t` into a row-major scratch (contiguous reads from
-            // `a_t`, L1-resident writes), then scan each row's k-run as two
-            // zipped contiguous slices. Per row, k still advances 0..n in
-            // order, so best/second/best_k evolve exactly as in the
-            // baseline and the damped update computes the same floats.
-            let a_t = &a_t;
-            let s = &s;
-            for_each_tile(&mut r, n, threads, |i0, tile| {
-                let rows = tile.len() / n;
-                let mut best = vec![f64::NEG_INFINITY; rows];
-                let mut second = vec![f64::NEG_INFINITY; rows];
-                let mut best_k = vec![usize::MAX; rows];
-                let mut a_tile = vec![0.0f64; rows * TILE_ROWS];
-                let mut v_run = [0.0f64; TILE_ROWS];
-                for k0 in (0..n).step_by(TILE_ROWS) {
-                    let kt = TILE_ROWS.min(n - k0);
-                    for dk in 0..kt {
-                        let a_run = &a_t[(k0 + dk) * n + i0..(k0 + dk) * n + i0 + rows];
-                        for (j, &av) in a_run.iter().enumerate() {
-                            a_tile[j * TILE_ROWS + dk] = av;
-                        }
-                    }
-                    for j in 0..rows {
-                        let s_run = &s[(i0 + j) * n + k0..(i0 + j) * n + k0 + kt];
-                        let a_run = &a_tile[j * TILE_ROWS..j * TILE_ROWS + kt];
-                        // Branch-free sum and max over the run, then a
-                        // serial top-2 refinement only when the run can
-                        // actually change best/second. Skipping a run whose
-                        // max is <= second is exact: the baseline scan
-                        // would have left (best, second, best_k) untouched
-                        // for every such element.
-                        for ((vd, &av), &sv) in v_run[..kt].iter_mut().zip(a_run).zip(s_run) {
-                            *vd = av + sv;
-                        }
-                        let run_max = v_run[..kt].iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
-                        if run_max <= second[j] {
-                            continue;
-                        }
-                        let (mut b1, mut b2, mut bk) = (best[j], second[j], best_k[j]);
-                        for (dk, &v) in v_run[..kt].iter().enumerate() {
-                            if v > b1 {
-                                b2 = b1;
-                                b1 = v;
-                                bk = k0 + dk;
-                            } else if v > b2 {
-                                b2 = v;
-                            }
-                        }
-                        best[j] = b1;
-                        second[j] = b2;
-                        best_k[j] = bk;
-                    }
-                }
-                for (j, r_row) in tile.chunks_mut(n).enumerate() {
-                    let s_row = &s[(i0 + j) * n..(i0 + j + 1) * n];
-                    let (b1, b2, bk) = (best[j], second[j], best_k[j]);
-                    // The best_k element is the only one whose subtrahend
-                    // differs; compute the whole row against `best` without
-                    // a branch, then redo that one slot from its saved old
-                    // value against `second`.
-                    let old_rbk = r_row[bk];
-                    for (rv, &sv) in r_row.iter_mut().zip(s_row) {
-                        *rv = lam * *rv + (1.0 - lam) * (sv - b1);
-                    }
-                    r_row[bk] = lam * old_rbk + (1.0 - lam) * (s_row[bk] - b2);
-                }
-            });
-        }
-        // Availabilities: columns are independent given `r`; each thread
-        // updates whole columns (contiguous rows of `a_t`).
-        if config.baseline_sweeps {
-            let r = &r;
-            for_each_row(&mut a_t, n, threads, |k, a_col| {
-                let mut pos_sum = 0.0;
-                for i in 0..n {
-                    if i != k {
-                        pos_sum += r[i * n + k].max(0.0);
-                    }
-                }
-                let rkk = r[k * n + k];
-                for (i, av) in a_col.iter_mut().enumerate() {
-                    let new_a = if i == k {
-                        pos_sum
-                    } else {
-                        let without_i = pos_sum - r[i * n + k].max(0.0);
-                        (rkk + without_i).min(0.0)
-                    };
-                    *av = lam * *av + (1.0 - lam) * new_a;
-                }
-            });
-        } else {
-            // Tiled: the positive-sum pass streams `r` row-slabs instead
-            // of gathering stride-n columns, accumulating every column of
-            // the tile at once; the diagonal term each column skips is
-            // handled by splitting that one row's run, never by a branch
-            // in the inner loop. Each column's sum still accumulates over
-            // i = 0..n in order, so the float result is identical. The
-            // same pass transposes the slab into `rt` so the update pass
-            // reads each column contiguously; the i == k slot is the only
-            // one with a different formula, so the update runs branch-free
-            // over the whole column and then redoes that one slot from its
-            // saved old value.
-            let r = &r;
-            for_each_tile(&mut a_t, n, threads, |k0, tile| {
-                let cols = tile.len() / n;
-                let mut pos = vec![0.0f64; cols];
-                let mut rt = vec![0.0f64; cols * n];
-                for i in 0..n {
-                    let r_row = &r[i * n + k0..i * n + k0 + cols];
-                    for (j, &rv) in r_row.iter().enumerate() {
-                        rt[j * n + i] = rv;
-                    }
-                    if i >= k0 && i < k0 + cols {
-                        let d = i - k0;
-                        for (pj, &rv) in pos[..d].iter_mut().zip(&r_row[..d]) {
-                            *pj += rv.max(0.0);
-                        }
-                        for (pj, &rv) in pos[d + 1..].iter_mut().zip(&r_row[d + 1..]) {
-                            *pj += rv.max(0.0);
-                        }
-                    } else {
-                        for (pj, &rv) in pos.iter_mut().zip(r_row) {
-                            *pj += rv.max(0.0);
-                        }
-                    }
-                }
-                for (j, a_col) in tile.chunks_mut(n).enumerate() {
-                    let k = k0 + j;
-                    let rkk = r[k * n + k];
-                    let pos_sum = pos[j];
-                    let rt_col = &rt[j * n..(j + 1) * n];
-                    let old_ak = a_col[k];
-                    for (av, &rv) in a_col.iter_mut().zip(rt_col) {
-                        let new_a = (rkk + (pos_sum - rv.max(0.0))).min(0.0);
-                        *av = lam * *av + (1.0 - lam) * new_a;
-                    }
-                    a_col[k] = lam * old_ak + (1.0 - lam) * pos_sum;
-                }
-            });
-        }
+        sweep(&mut r, &mut a_t, &s, n, config.damping);
         // Current exemplars.
         let exemplars: Vec<usize> = (0..n)
             .filter(|&k| r[k * n + k] + a_t[k * n + k] > 0.0)
@@ -475,6 +244,125 @@ pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Opt
     })
 }
 
+/// The cache-tiled [`Sweep`].
+///
+/// Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
+/// For each (row-tile, k-tile) pair the tile of `a_t` is first transposed
+/// into a row-major scratch (contiguous reads from `a_t`, L1-resident
+/// writes), then each row's k-run is scanned as two zipped contiguous
+/// slices. Per row, k still advances 0..n in order, so best/second/best_k
+/// evolve exactly as in the row loop and the damped update computes the
+/// same floats.
+///
+/// Availabilities: the positive-sum pass streams `r` row-slabs instead of
+/// gathering stride-n columns, accumulating every column of the tile at
+/// once; the diagonal term each column skips is handled by splitting that
+/// one row's run, never by a branch in the inner loop. Each column's sum
+/// still accumulates over i = 0..n in order, so the float result is
+/// identical. The same pass transposes the slab into `rt` so the update
+/// pass reads each column contiguously; the i == k slot is the only one
+/// with a different formula, so the update runs branch-free over the
+/// whole column and then redoes that one slot from its saved old value.
+fn tiled_sweep(r: &mut [f64], a_t: &mut [f64], s: &[f64], n: usize, lam: f64) {
+    for (t, tile) in r.chunks_mut(TILE_ROWS * n).enumerate() {
+        let i0 = t * TILE_ROWS;
+        let rows = tile.len() / n;
+        let mut best = vec![f64::NEG_INFINITY; rows];
+        let mut second = vec![f64::NEG_INFINITY; rows];
+        let mut best_k = vec![usize::MAX; rows];
+        let mut a_tile = vec![0.0f64; rows * TILE_ROWS];
+        let mut v_run = [0.0f64; TILE_ROWS];
+        for k0 in (0..n).step_by(TILE_ROWS) {
+            let kt = TILE_ROWS.min(n - k0);
+            for dk in 0..kt {
+                let a_run = &a_t[(k0 + dk) * n + i0..(k0 + dk) * n + i0 + rows];
+                for (j, &av) in a_run.iter().enumerate() {
+                    a_tile[j * TILE_ROWS + dk] = av;
+                }
+            }
+            for j in 0..rows {
+                let s_run = &s[(i0 + j) * n + k0..(i0 + j) * n + k0 + kt];
+                let a_run = &a_tile[j * TILE_ROWS..j * TILE_ROWS + kt];
+                // Branch-free sum and max over the run, then a serial
+                // top-2 refinement only when the run can actually change
+                // best/second. Skipping a run whose max is <= second is
+                // exact: the row loop would have left (best, second,
+                // best_k) untouched for every such element.
+                for ((vd, &av), &sv) in v_run[..kt].iter_mut().zip(a_run).zip(s_run) {
+                    *vd = av + sv;
+                }
+                let run_max = v_run[..kt].iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+                if run_max <= second[j] {
+                    continue;
+                }
+                let (mut b1, mut b2, mut bk) = (best[j], second[j], best_k[j]);
+                for (dk, &v) in v_run[..kt].iter().enumerate() {
+                    if v > b1 {
+                        b2 = b1;
+                        b1 = v;
+                        bk = k0 + dk;
+                    } else if v > b2 {
+                        b2 = v;
+                    }
+                }
+                best[j] = b1;
+                second[j] = b2;
+                best_k[j] = bk;
+            }
+        }
+        for (j, r_row) in tile.chunks_mut(n).enumerate() {
+            let s_row = &s[(i0 + j) * n..(i0 + j + 1) * n];
+            let (b1, b2, bk) = (best[j], second[j], best_k[j]);
+            // The best_k element is the only one whose subtrahend differs;
+            // compute the whole row against `best` without a branch, then
+            // redo that one slot from its saved old value against `second`.
+            let old_rbk = r_row[bk];
+            for (rv, &sv) in r_row.iter_mut().zip(s_row) {
+                *rv = lam * *rv + (1.0 - lam) * (sv - b1);
+            }
+            r_row[bk] = lam * old_rbk + (1.0 - lam) * (s_row[bk] - b2);
+        }
+    }
+    let r = &*r;
+    for (t, tile) in a_t.chunks_mut(TILE_ROWS * n).enumerate() {
+        let k0 = t * TILE_ROWS;
+        let cols = tile.len() / n;
+        let mut pos = vec![0.0f64; cols];
+        let mut rt = vec![0.0f64; cols * n];
+        for i in 0..n {
+            let r_row = &r[i * n + k0..i * n + k0 + cols];
+            for (j, &rv) in r_row.iter().enumerate() {
+                rt[j * n + i] = rv;
+            }
+            if i >= k0 && i < k0 + cols {
+                let d = i - k0;
+                for (pj, &rv) in pos[..d].iter_mut().zip(&r_row[..d]) {
+                    *pj += rv.max(0.0);
+                }
+                for (pj, &rv) in pos[d + 1..].iter_mut().zip(&r_row[d + 1..]) {
+                    *pj += rv.max(0.0);
+                }
+            } else {
+                for (pj, &rv) in pos.iter_mut().zip(r_row) {
+                    *pj += rv.max(0.0);
+                }
+            }
+        }
+        for (j, a_col) in tile.chunks_mut(n).enumerate() {
+            let k = k0 + j;
+            let rkk = r[k * n + k];
+            let pos_sum = pos[j];
+            let rt_col = &rt[j * n..(j + 1) * n];
+            let old_ak = a_col[k];
+            for (av, &rv) in a_col.iter_mut().zip(rt_col) {
+                let new_a = (rkk + (pos_sum - rv.max(0.0))).min(0.0);
+                *av = lam * *av + (1.0 - lam) * new_a;
+            }
+            a_col[k] = lam * old_ak + (1.0 - lam) * pos_sum;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +376,50 @@ mod tests {
             pts.push(vec![1.0 + 0.01 * i as f64, 1.0 - 0.008 * i as f64]);
         }
         pts
+    }
+
+    /// The textbook row/column loops the tiled sweep must reproduce
+    /// bit-for-bit: each row of `r` scans k = 0..n for the top two
+    /// a(i,k') + s(i,k'), each column of `a_t` sums r(i,k)⁺ over i = 0..n.
+    fn untiled_sweep(r: &mut [f64], a_t: &mut [f64], s: &[f64], n: usize, lam: f64) {
+        for (i, r_row) in r.chunks_mut(n).enumerate() {
+            let mut best = f64::NEG_INFINITY;
+            let mut second = f64::NEG_INFINITY;
+            let mut best_k = usize::MAX;
+            for k in 0..n {
+                let v = a_t[k * n + i] + s[i * n + k];
+                if v > best {
+                    second = best;
+                    best = v;
+                    best_k = k;
+                } else if v > second {
+                    second = v;
+                }
+            }
+            for (k, rv) in r_row.iter_mut().enumerate() {
+                let max_other = if k == best_k { second } else { best };
+                let new_r = s[i * n + k] - max_other;
+                *rv = lam * *rv + (1.0 - lam) * new_r;
+            }
+        }
+        for (k, a_col) in a_t.chunks_mut(n).enumerate() {
+            let mut pos_sum = 0.0;
+            for i in 0..n {
+                if i != k {
+                    pos_sum += r[i * n + k].max(0.0);
+                }
+            }
+            let rkk = r[k * n + k];
+            for (i, av) in a_col.iter_mut().enumerate() {
+                let new_a = if i == k {
+                    pos_sum
+                } else {
+                    let without_i = pos_sum - r[i * n + k].max(0.0);
+                    (rkk + without_i).min(0.0)
+                };
+                *av = lam * *av + (1.0 - lam) * new_a;
+            }
+        }
     }
 
     #[test]
@@ -578,64 +510,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweeps_match_serial_exactly() {
-        // The whole Clustering — exemplars, per-point assignment, iteration
-        // count, convergence flag — must be byte-identical between the
-        // serial reference and any parallel thread count. n = 400 exceeds
-        // PAR_MIN_POINTS so the auto path is genuinely parallel too.
-        for n in [2usize, 17, 150, 400] {
-            let pts = synthetic_points(n);
-            let serial = affinity_propagation(
-                &pts,
-                &AffinityConfig {
-                    threads: 1,
-                    ..AffinityConfig::default()
-                },
-            )
-            .unwrap();
-            for threads in [2usize, 3, 8] {
-                let par = affinity_propagation(
-                    &pts,
-                    &AffinityConfig {
-                        threads,
-                        ..AffinityConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(serial, par, "n={n} threads={threads}");
-            }
-            let auto = affinity_propagation(&pts, &AffinityConfig::default()).unwrap();
-            assert_eq!(serial, auto, "n={n} auto");
-        }
-    }
-
-    #[test]
     fn tiled_sweeps_match_baseline_exactly() {
-        // The cache-tiled sweeps must reproduce the original loops
+        // The cache-tiled sweeps must reproduce the textbook loops
         // bit-for-bit at every point count — including sizes straddling a
-        // tile boundary — serially and across thread counts.
+        // tile boundary.
         for n in [2usize, 17, 63, 64, 65, 150, 400] {
             let pts = synthetic_points(n);
-            let baseline = affinity_propagation(
-                &pts,
-                &AffinityConfig {
-                    threads: 1,
-                    baseline_sweeps: true,
-                    ..AffinityConfig::default()
-                },
-            )
-            .unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let tiled = affinity_propagation(
-                    &pts,
-                    &AffinityConfig {
-                        threads,
-                        ..AffinityConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(baseline, tiled, "n={n} threads={threads}");
-            }
+            let config = AffinityConfig::default();
+            let baseline = propagate(&pts, &config, untiled_sweep).unwrap();
+            let tiled = affinity_propagation(&pts, &config).unwrap();
+            assert_eq!(baseline, tiled, "n={n}");
         }
     }
 

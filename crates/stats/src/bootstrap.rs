@@ -3,23 +3,25 @@
 //! The paper reports point estimates; a toolkit release should also say
 //! how stable they are under toplist resampling. [`bootstrap_ci`]
 //! resamples observations with replacement and returns a percentile
-//! interval for any statistic — used by `examples/uncertainty.rs` to
-//! attach intervals to per-country centralization scores.
+//! interval for any statistic — used for the per-country centralization
+//! intervals (suite row "Tab 5", `examples/uncertainty.rs`, the serve
+//! crate's `/v1/ci` route).
 //!
-//! Replicates are independent by construction: replicate `r` draws from its
-//! own index stream seeded by `mix(seed, r)`, so the interval is identical
-//! whether replicates run sequentially or spread across threads. The
-//! resampling itself is by *index* — [`bootstrap_ci_indexed`] hands the
-//! statistic a borrowing [`Resample`] view and never clones an item;
-//! [`bootstrap_ci`] keeps the slice-based signature by gathering into one
-//! scratch buffer per thread, reused across that thread's replicates.
+//! Replicate `r` draws from its own index stream seeded by
+//! `mix(seed, r)`, and the percentile sort is order-independent, so an
+//! interval depends only on the items, the statistic, the replicate count,
+//! the level and the seed. The resampling is by *index*: the statistic
+//! reads each resample through a borrowing [`Resample`] view and no item
+//! is ever cloned. Every buffer lives in a caller-held
+//! [`BootstrapScratch`], so a per-country loop allocates nothing after
+//! its first call, and the run polls a caller-supplied abort check
+//! between replicate windows so a deadline can cut it short.
 //!
 //! Index draws come from a SplitMix64 stream, not a cryptographic RNG:
 //! resampling needs seeded reproducibility and throughput (a suite run
 //! draws tens of millions of indices), and SplitMix64 passes the
 //! statistical bar for percentile intervals by a wide margin.
 
-use crate::par::par_map_indices;
 use serde::{Deserialize, Serialize};
 
 /// A percentile bootstrap confidence interval.
@@ -114,106 +116,18 @@ fn draw_indices(stream: &mut IndexStream, n: usize, idx: &mut Vec<u32>) {
     }
 }
 
-fn percentile_interval(point: f64, mut stats: Vec<f64>, level: f64) -> BootstrapCi {
-    percentile_interval_slice(point, &mut stats, level)
-}
-
 fn valid(n_items: usize, replicates: usize, level: f64) -> bool {
     n_items > 0 && replicates > 0 && level > 0.0 && level < 1.0
 }
 
-/// Number of replicates to hand each parallel worker at a time. Large
-/// enough to amortize scheduling, small enough to balance uneven statistic
-/// costs.
+/// Replicates between two polls of the abort check: often enough that a
+/// deadline is noticed within a few milliseconds, rarely enough that the
+/// poll costs nothing measurable.
 const REPLICATE_CHUNK: usize = 32;
 
-/// Percentile bootstrap for `statistic` over `items`.
-///
-/// * `level` — confidence level in `(0, 1)`, e.g. `0.95`.
-/// * `replicates` — number of resamples (hundreds suffice for reporting).
-///
-/// Deterministic for a given `seed`, independent of thread count. Returns
-/// `None` for an empty sample, a degenerate level, or zero replicates.
-pub fn bootstrap_ci<T: Clone + Sync, F: Fn(&[T]) -> f64 + Sync>(
-    items: &[T],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    if !valid(items.len(), replicates, level) {
-        return None;
-    }
-    let point = statistic(items);
-    let n = items.len();
-    let chunks = replicates.div_ceil(REPLICATE_CHUNK);
-    let threads = crate::par::default_threads().min(chunks);
-    let stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
-        // Per-chunk scratch buffers, reused across the chunk's replicates.
-        let mut idx: Vec<u32> = Vec::with_capacity(n);
-        let mut resample: Vec<T> = Vec::with_capacity(n);
-        let lo = c * REPLICATE_CHUNK;
-        let hi = (lo + REPLICATE_CHUNK).min(replicates);
-        (lo..hi)
-            .map(|r| {
-                let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-                draw_indices(&mut stream, n, &mut idx);
-                resample.clear();
-                resample.extend(idx.iter().map(|&i| items[i as usize].clone()));
-                statistic(&resample)
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    Some(percentile_interval(point, stats, level))
-}
-
-/// Clone-free percentile bootstrap: the statistic reads each resample
-/// through a borrowing [`Resample`] view instead of a gathered slice.
-///
-/// Draws the *same* index streams as [`bootstrap_ci`] for a given `seed`,
-/// so the two agree exactly when the statistics agree.
-pub fn bootstrap_ci_indexed<T: Sync, F: Fn(&Resample<'_, T>) -> f64 + Sync>(
-    items: &[T],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    if !valid(items.len(), replicates, level) {
-        return None;
-    }
-    let n = items.len();
-    let identity: Vec<u32> = (0..n as u32).collect();
-    let point = statistic(&Resample {
-        items,
-        idx: &identity,
-    });
-    let chunks = replicates.div_ceil(REPLICATE_CHUNK);
-    let threads = crate::par::default_threads().min(chunks);
-    let stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
-        let mut idx: Vec<u32> = Vec::with_capacity(n);
-        let lo = c * REPLICATE_CHUNK;
-        let hi = (lo + REPLICATE_CHUNK).min(replicates);
-        (lo..hi)
-            .map(|r| {
-                let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-                draw_indices(&mut stream, n, &mut idx);
-                statistic(&Resample { items, idx: &idx })
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    Some(percentile_interval(point, stats, level))
-}
-
-/// Reusable scratch for [`bootstrap_ci_indexed_scratch`]: the index
-/// buffer, the replicate statistics, and the identity permutation all live
-/// here, so a per-country CI loop allocates nothing after its first call.
+/// Reusable scratch for [`bootstrap_ci`]: the index buffer, the replicate
+/// statistics, and the identity permutation all live here, so a
+/// per-country CI loop allocates nothing after its first call.
 #[derive(Debug, Default)]
 pub struct BootstrapScratch {
     idx: Vec<u32>,
@@ -228,45 +142,6 @@ impl BootstrapScratch {
     }
 }
 
-/// [`bootstrap_ci_indexed`] with caller-provided scratch, run serially on
-/// the calling thread.
-///
-/// Draws the same per-replicate index streams as the parallel entry points
-/// (replicate `r` is always seeded by `mix(seed, r)`), and the percentile
-/// sort is order-independent, so for a given statistic the interval is
-/// **identical** to [`bootstrap_ci_indexed`]'s. Use this inside loops that
-/// are already parallel at a coarser grain (e.g. one CI per country): the
-/// coarse loop keeps the cores busy and each call stays allocation-free.
-pub fn bootstrap_ci_indexed_scratch<T, F: Fn(&Resample<'_, T>) -> f64>(
-    items: &[T],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Option<BootstrapCi> {
-    if !valid(items.len(), replicates, level) {
-        return None;
-    }
-    let n = items.len();
-    scratch.identity.clear();
-    scratch.identity.extend(0..n as u32);
-    let point = statistic(&Resample {
-        items,
-        idx: &scratch.identity,
-    });
-    scratch.stats.clear();
-    for r in 0..replicates {
-        let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-        draw_indices(&mut stream, n, &mut scratch.idx);
-        scratch.stats.push(statistic(&Resample {
-            items,
-            idx: &scratch.idx,
-        }));
-    }
-    Some(percentile_interval_slice(point, &mut scratch.stats, level))
-}
-
 /// The bootstrap ran out of budget before finishing its replicates.
 ///
 /// Carries no partial interval on purpose: a truncated replicate set is a
@@ -275,15 +150,19 @@ pub fn bootstrap_ci_indexed_scratch<T, F: Fn(&Resample<'_, T>) -> f64>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootstrapAborted;
 
-/// [`bootstrap_ci_indexed_scratch`] that polls `should_abort` every
-/// [`REPLICATE_CHUNK`] replicates and bails with [`BootstrapAborted`]
-/// instead of running to completion.
+/// Percentile bootstrap for `statistic` over `items`, run serially on the
+/// calling thread.
 ///
-/// Replicate `r` is seeded by `mix(seed, r)` regardless of who runs it, so
-/// when this variant *does* complete its interval is bit-identical to
-/// [`bootstrap_ci_indexed`]'s — a request under deadline pressure never
-/// serves different numbers, it either serves the canonical ones or sheds.
-pub fn bootstrap_ci_indexed_abortable<T, F: Fn(&Resample<'_, T>) -> f64>(
+/// * `level` — confidence level in `(0, 1)`, e.g. `0.95`.
+/// * `replicates` — number of resamples (hundreds suffice for reporting).
+/// * `scratch` — reused buffers; any scratch gives the same interval.
+/// * `should_abort` — polled before the first replicate and every 32
+///   replicates after it; `true` ends the run with [`BootstrapAborted`].
+///   Pass `&mut || false` to always run to completion.
+///
+/// Deterministic for a given `seed`. Returns `Ok(None)` for an empty
+/// sample, a degenerate level, or zero replicates (before any poll).
+pub fn bootstrap_ci<T, F: Fn(&Resample<'_, T>) -> f64>(
     items: &[T],
     statistic: F,
     replicates: usize,
@@ -317,14 +196,10 @@ pub fn bootstrap_ci_indexed_abortable<T, F: Fn(&Resample<'_, T>) -> f64>(
             idx: &scratch.idx,
         }));
     }
-    Ok(Some(percentile_interval_slice(
-        point,
-        &mut scratch.stats,
-        level,
-    )))
+    Ok(Some(percentile_interval(point, &mut scratch.stats, level)))
 }
 
-fn percentile_interval_slice(point: f64, stats: &mut [f64], level: f64) -> BootstrapCi {
+fn percentile_interval(point: f64, stats: &mut [f64], level: f64) -> BootstrapCi {
     let replicates = stats.len();
     stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistics"));
     let alpha = (1.0 - level) / 2.0;
@@ -342,14 +217,54 @@ fn percentile_interval_slice(point: f64, stats: &mut [f64], level: f64) -> Boots
 mod tests {
     use super::*;
 
-    fn mean(xs: &[f64]) -> f64 {
-        xs.iter().sum::<f64>() / xs.len() as f64
+    fn mean(rs: &Resample<'_, f64>) -> f64 {
+        rs.iter().sum::<f64>() / rs.len() as f64
+    }
+
+    /// One run to completion with a fresh scratch.
+    fn ci(data: &[f64], replicates: usize, level: f64, seed: u64) -> Option<BootstrapCi> {
+        bootstrap_ci(
+            data,
+            mean,
+            replicates,
+            level,
+            seed,
+            &mut BootstrapScratch::new(),
+            &mut || false,
+        )
+        .expect("never aborted")
+    }
+
+    /// The naive bootstrap the scratch-and-view implementation must equal:
+    /// gather every resample into a fresh `Vec`, take its mean, sort all
+    /// replicate means and read the nearest-rank percentiles.
+    fn gathering_oracle(data: &[f64], replicates: usize, level: f64, seed: u64) -> BootstrapCi {
+        let n = data.len();
+        let mean_of = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let mut stats: Vec<f64> = (0..replicates)
+            .map(|r| {
+                let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
+                let resample: Vec<f64> = (0..n)
+                    .map(|_| data[stream.next_below(n) as usize])
+                    .collect();
+                mean_of(&resample)
+            })
+            .collect();
+        stats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let alpha = (1.0 - level) / 2.0;
+        let rank = |q: f64| ((q * (replicates - 1) as f64).round() as usize).min(replicates - 1);
+        BootstrapCi {
+            point: mean_of(data),
+            lo: stats[rank(alpha)],
+            hi: stats[rank(1.0 - alpha)],
+            replicates,
+        }
     }
 
     #[test]
     fn interval_brackets_the_mean() {
         let data: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let ci = bootstrap_ci(&data, mean, 500, 0.95, 42).unwrap();
+        let ci = ci(&data, 500, 0.95, 42).unwrap();
         assert!(ci.contains(ci.point));
         assert!(ci.contains(4.5), "{ci:?}");
         assert!(ci.width() < 1.0, "{ci:?}");
@@ -358,78 +273,87 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let data: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let a = bootstrap_ci(&data, mean, 200, 0.9, 7).unwrap();
-        let b = bootstrap_ci(&data, mean, 200, 0.9, 7).unwrap();
+        let a = ci(&data, 200, 0.9, 7).unwrap();
+        let b = ci(&data, 200, 0.9, 7).unwrap();
         assert_eq!(a, b);
-        let c = bootstrap_ci(&data, mean, 200, 0.9, 8).unwrap();
+        let c = ci(&data, 200, 0.9, 8).unwrap();
         assert!(a.lo != c.lo || a.hi != c.hi);
     }
 
     #[test]
-    fn indexed_agrees_with_cloning() {
+    fn indexed_agrees_with_gathering_oracle() {
         let data: Vec<f64> = (0..120).map(|i| ((i * 17) % 31) as f64).collect();
-        let cloned = bootstrap_ci(&data, mean, 300, 0.95, 11).unwrap();
-        let indexed = bootstrap_ci_indexed(
-            &data,
-            |rs| rs.iter().sum::<f64>() / rs.len() as f64,
-            300,
-            0.95,
-            11,
-        )
-        .unwrap();
-        assert_eq!(cloned, indexed);
+        for seed in [11u64, 12] {
+            assert_eq!(
+                ci(&data, 300, 0.95, seed).unwrap(),
+                gathering_oracle(&data, 300, 0.95, seed)
+            );
+        }
     }
 
-    /// The abortable variant is bit-identical to the parallel path when it
-    /// completes, aborts promptly when the budget is already spent, and
-    /// honors a mid-run abort without returning a truncated interval.
+    /// The index streams are part of the output: these intervals are the
+    /// bits every earlier release printed for this input, so a change to
+    /// the seed mix, the stream or the percentile rule fails here.
+    #[test]
+    fn intervals_are_pinned() {
+        let data: Vec<f64> = (0..97).map(|i| ((i * 31) % 43) as f64 * 0.5).collect();
+        for (seed, lo, hi) in [
+            (3u64, 0x4022_1d07_eae2_f815u64, 0x4027_07ea_e2f8_151du64),
+            (42, 0x4022_a8e8_3f57_17c1, 0x4026_b0d3_224f_2cde),
+        ] {
+            let ci = ci(&data, 200, 0.95, seed).unwrap();
+            assert_eq!(ci.point.to_bits(), 0x4024_ae2f_8151_d07f, "seed {seed}");
+            assert_eq!((ci.lo.to_bits(), ci.hi.to_bits()), (lo, hi), "seed {seed}");
+        }
+    }
+
+    /// A run that completes is bit-identical to the oracle, a budget spent
+    /// up front aborts at once, and a mid-run abort never returns a
+    /// truncated interval.
     #[test]
     fn abortable_variant_identical_or_aborted() {
         let data: Vec<f64> = (0..80).map(|i| ((i * 19) % 29) as f64).collect();
-        let stat = |rs: &Resample<'_, f64>| rs.iter().sum::<f64>() / rs.len() as f64;
         let mut scratch = BootstrapScratch::new();
-        let parallel = bootstrap_ci_indexed(&data, stat, 300, 0.95, 9).unwrap();
         let completed =
-            bootstrap_ci_indexed_abortable(&data, stat, 300, 0.95, 9, &mut scratch, &mut || false)
-                .unwrap();
-        assert_eq!(completed, Some(parallel));
+            bootstrap_ci(&data, mean, 300, 0.95, 9, &mut scratch, &mut || false).unwrap();
+        assert_eq!(completed, Some(gathering_oracle(&data, 300, 0.95, 9)));
 
         assert_eq!(
-            bootstrap_ci_indexed_abortable(&data, stat, 300, 0.95, 9, &mut scratch, &mut || true),
+            bootstrap_ci(&data, mean, 300, 0.95, 9, &mut scratch, &mut || true),
             Err(BootstrapAborted)
         );
 
         // Abort after the first poll window: never a partial interval.
         let mut polls = 0u32;
-        let aborted =
-            bootstrap_ci_indexed_abortable(&data, stat, 10_000, 0.95, 9, &mut scratch, &mut || {
-                polls += 1;
-                polls > 1
-            });
+        let aborted = bootstrap_ci(&data, mean, 10_000, 0.95, 9, &mut scratch, &mut || {
+            polls += 1;
+            polls > 1
+        });
         assert_eq!(aborted, Err(BootstrapAborted));
 
         // Degenerate inputs still report "no interval", not an abort.
         assert_eq!(
-            bootstrap_ci_indexed_abortable(&data, stat, 0, 0.95, 9, &mut scratch, &mut || true),
+            bootstrap_ci(&data, mean, 0, 0.95, 9, &mut scratch, &mut || true),
             Ok(None)
         );
     }
 
-    /// The scratch variant must be bit-identical to the parallel indexed
-    /// path: same index streams per replicate, order-independent sort.
+    /// One scratch reused across seeds (and after an aborted run) gives
+    /// the same intervals as a fresh scratch per call.
     #[test]
-    fn scratch_variant_is_identical_to_indexed() {
+    fn reused_scratch_is_identical_to_fresh() {
         let data: Vec<f64> = (0..90).map(|i| ((i * 13) % 23) as f64).collect();
-        let stat = |rs: &Resample<'_, f64>| rs.iter().sum::<f64>() / rs.len() as f64;
         let mut scratch = BootstrapScratch::new();
+        let _ = bootstrap_ci(&data, mean, 500, 0.95, 3, &mut scratch, &mut || true);
         for seed in [1u64, 7, 42] {
-            let parallel = bootstrap_ci_indexed(&data, stat, 250, 0.95, seed).unwrap();
-            let serial =
-                bootstrap_ci_indexed_scratch(&data, stat, 250, 0.95, seed, &mut scratch).unwrap();
-            assert_eq!(parallel, serial, "seed {seed}");
+            let fresh = ci(&data, 250, 0.95, seed).unwrap();
+            let reused =
+                bootstrap_ci(&data, mean, 250, 0.95, seed, &mut scratch, &mut || false).unwrap();
+            assert_eq!(reused, Some(fresh), "seed {seed}");
         }
-        assert!(
-            bootstrap_ci_indexed_scratch(&data, stat, 0, 0.95, 0, &mut scratch).is_none(),
+        assert_eq!(
+            bootstrap_ci(&data, mean, 0, 0.95, 0, &mut scratch, &mut || false),
+            Ok(None),
             "degenerate inputs still rejected"
         );
     }
@@ -437,7 +361,7 @@ mod tests {
     #[test]
     fn degenerate_sample_gives_zero_width() {
         let data = vec![3.0; 30];
-        let ci = bootstrap_ci(&data, mean, 100, 0.95, 1).unwrap();
+        let ci = ci(&data, 100, 0.95, 1).unwrap();
         assert_eq!(ci.lo, 3.0);
         assert_eq!(ci.hi, 3.0);
         assert_eq!(ci.width(), 0.0);
@@ -446,18 +370,17 @@ mod tests {
     #[test]
     fn wider_level_wider_interval() {
         let data: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64).collect();
-        let narrow = bootstrap_ci(&data, mean, 400, 0.80, 5).unwrap();
-        let wide = bootstrap_ci(&data, mean, 400, 0.99, 5).unwrap();
+        let narrow = ci(&data, 400, 0.80, 5).unwrap();
+        let wide = ci(&data, 400, 0.99, 5).unwrap();
         assert!(wide.width() >= narrow.width());
     }
 
     #[test]
     fn invalid_inputs() {
         let data = vec![1.0];
-        assert!(bootstrap_ci::<f64, _>(&[], mean, 100, 0.95, 0).is_none());
-        assert!(bootstrap_ci(&data, mean, 0, 0.95, 0).is_none());
-        assert!(bootstrap_ci(&data, mean, 100, 1.0, 0).is_none());
-        assert!(bootstrap_ci(&data, mean, 100, 0.0, 0).is_none());
-        assert!(bootstrap_ci_indexed(&data, |rs| rs.get(0) * 1.0, 0, 0.95, 0).is_none());
+        assert!(ci(&[], 100, 0.95, 0).is_none());
+        assert!(ci(&data, 0, 0.95, 0).is_none());
+        assert!(ci(&data, 100, 1.0, 0).is_none());
+        assert!(ci(&data, 100, 0.0, 0).is_none());
     }
 }

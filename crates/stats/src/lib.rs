@@ -12,7 +12,7 @@
 //! * [`hist`] — fixed-width histograms and empirical CDFs (Figures 11, 12).
 //! * [`bootstrap`] — seeded percentile bootstrap confidence intervals.
 //! * [`par`] — scoped-thread parallel map with deterministic output order,
-//!   used to spread country tables and bootstrap replicates across cores.
+//!   used to spread per-country tables across cores.
 //! * [`affinity`] — affinity propagation clustering (Frey & Dueck 2007),
 //!   the algorithm the paper uses to find provider classes.
 //! * [`kmeans`] — k-means++ baseline clustering for comparison.
@@ -34,12 +34,9 @@ pub mod scale;
 pub mod special;
 
 pub use affinity::{affinity_propagation, AffinityConfig, Clustering};
-pub use bootstrap::{
-    bootstrap_ci, bootstrap_ci_indexed, bootstrap_ci_indexed_abortable,
-    bootstrap_ci_indexed_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch, Resample,
-};
+pub use bootstrap::{bootstrap_ci, BootstrapAborted, BootstrapCi, BootstrapScratch, Resample};
 pub use corr::{pearson, spearman, Correlation, CorrelationStrength};
 pub use describe::Summary;
 pub use jaccard::jaccard_index;
-pub use par::{par_map, par_map_indices};
+pub use par::par_map_indices;
 pub use scale::min_max_scale_columns;

@@ -1,12 +1,11 @@
 //! Minimal scoped-thread parallel map.
 //!
 //! The analysis layer fans the same pure computation over many independent
-//! inputs (150 countries × 5 layers of centralization scores, thousands of
-//! bootstrap replicates). This module provides just enough parallelism for
-//! that: a work-stealing-ish map over a slice using `std::thread::scope`, an
-//! atomic cursor instead of static chunking (so a slow item does not idle
-//! the other threads), and results returned in input order so callers stay
-//! deterministic.
+//! inputs (150 countries × 5 layers of centralization scores). This module
+//! provides just enough parallelism for that: a work-stealing-ish map over
+//! an index range using `std::thread::scope`, an atomic cursor instead of
+//! static chunking (so a slow item does not idle the other threads), and
+//! results returned in index order so callers stay deterministic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -22,23 +21,12 @@ pub fn default_threads() -> usize {
         .min(MAX_DEFAULT_THREADS)
 }
 
-/// Applies `f` to every element of `items` using up to `threads` scoped
-/// threads, returning results in input order.
+/// Applies `f` to every index in `0..n` using up to `threads` scoped
+/// threads, returning results in index order.
 ///
 /// `f` must be pure with respect to ordering: results are identical to
-/// `items.iter().map(f).collect()` no matter how the work interleaves.
-/// With `threads <= 1` (or a single item) the map runs inline.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indices(items.len(), threads, |i| f(&items[i]))
-}
-
-/// Index-space variant of [`par_map`]: applies `f` to `0..n` in parallel,
-/// returning results in index order.
+/// `(0..n).map(f).collect()` no matter how the work interleaves. With
+/// `threads <= 1` (or a single index) the map runs inline.
 pub fn par_map_indices<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -89,34 +77,34 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 7, 8] {
-            assert_eq!(par_map(&items, threads, |x| x * x), seq);
+            assert_eq!(
+                par_map_indices(items.len(), threads, |i| items[i] * items[i]),
+                seq
+            );
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 4, |x| *x).is_empty());
-        assert_eq!(par_map(&[5u32], 4, |x| x + 1), vec![6]);
+        assert!(par_map_indices(0, 4, |i| i).is_empty());
+        assert_eq!(par_map_indices(1, 4, |i| i + 6), vec![6]);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let items = [1u32, 2, 3];
-        assert_eq!(par_map(&items, 64, |x| x * 10), vec![10, 20, 30]);
+        assert_eq!(par_map_indices(3, 64, |i| (i + 1) * 10), vec![10, 20, 30]);
     }
 
     #[test]
     fn uneven_work_is_balanced() {
         // Items at the front are much slower; the atomic cursor should let
         // other threads drain the rest rather than idling.
-        let items: Vec<u32> = (0..64).collect();
-        let out = par_map(&items, 4, |&x| {
+        let out = par_map_indices(64, 4, |x| {
             if x < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             x + 1
         });
-        assert_eq!(out, (1..=64).collect::<Vec<u32>>());
+        assert_eq!(out, (1..=64).collect::<Vec<usize>>());
     }
 }

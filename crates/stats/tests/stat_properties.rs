@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use webdep_stats::affinity::{affinity_propagation, AffinityConfig};
-use webdep_stats::bootstrap::bootstrap_ci;
+use webdep_stats::bootstrap::{bootstrap_ci, BootstrapScratch, Resample};
 use webdep_stats::corr::{average_ranks, pearson, spearman};
 use webdep_stats::describe::{mean, median, quantile, variance};
 use webdep_stats::hist::{ecdf, Histogram};
@@ -123,8 +123,10 @@ proptest! {
     /// Bootstrap intervals contain the point estimate for the mean.
     #[test]
     fn bootstrap_contains_point(xs in prop::collection::vec(-10.0f64..10.0, 2..60)) {
-        let stat = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
-        let ci = bootstrap_ci(&xs, stat, 100, 0.99, 3).unwrap();
+        let stat = |s: &Resample<'_, f64>| s.iter().sum::<f64>() / s.len() as f64;
+        let ci = bootstrap_ci(&xs, stat, 100, 0.99, 3, &mut BootstrapScratch::new(), &mut || false)
+            .unwrap()
+            .unwrap();
         prop_assert!(ci.lo <= ci.hi);
         // 99% percentile interval over the resampling distribution should
         // cover the full-sample mean except in pathological tiny samples.

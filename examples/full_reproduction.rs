@@ -46,11 +46,7 @@ fn main() {
 
     let t1 = Instant::now();
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    println!(
-        "deployed: {} rack threads ({:?})",
-        dep.num_racks(),
-        t1.elapsed()
-    );
+    println!("deployed ({:?})", t1.elapsed());
 
     let t2 = Instant::now();
     let workers = std::thread::available_parallelism()
